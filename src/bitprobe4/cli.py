@@ -8,33 +8,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 
 from .geometry import Params, element_from_ordinal
 from .oracle import space_audit, verify_exhaustive, verify_random
 from .scheme import build_from_ordinals, query
-from .tables import deserialize, serialize
+from .tables import deserialize, serialize, size_a, size_b, size_c
 
-
-@dataclass
-class CliConfig:
-    command: str
-    b: int | None = None
-    m: int | None = None
-    subset: list[int] = field(default_factory=list)
-    out_path: str | None = None
-    in_path: str | None = None
-    element: int | None = None
-    exhaustive: bool = False
-    max_n: int = 4
-    max_queries: int | None = None
-    trials: int | None = None
-    seed: int = 0
-    n: int = 4
-    csv: bool = False
-    jobs: int = 1
-    fmt: str = "plain"
-    b_range: tuple[int, int] | None = None
+# Largest structure build and verify allocate: 2**30 bits (128 MiB), b <= 53.
+MAX_STRUCTURE_BITS = 1 << 30
 
 
 def _parse_subset(text: str) -> list[int]:
@@ -51,70 +32,72 @@ def _parse_b_range(text: str) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
-def _resolve_params(cfg: CliConfig) -> Params:
-    if cfg.b is not None:
-        return Params(cfg.b)
-    assert cfg.m is not None
-    p = Params.from_universe(cfg.m)
-    if p.universe_size != cfg.m:
+def _resolve_params(args: argparse.Namespace) -> Params:
+    """Params from --b or --m, refused when its tables exceed the limit."""
+    p = Params(args.b) if args.b is not None else Params.from_universe(args.m)
+    bits = size_a(p) + size_b(p) + size_c(p)
+    if bits > MAX_STRUCTURE_BITS:
+        raise ValueError(
+            f"b={p.b} needs {bits} table bits, over the limit of "
+            f"{MAX_STRUCTURE_BITS} (b <= 53)"
+        )
+    if args.b is None and p.universe_size != args.m:
         print(
             f"note: universe padded to m={p.universe_size} (b={p.b}) "
-            f"for requested m={cfg.m}"
+            f"for requested m={args.m}"
         )
     return p
 
 
-def cmd_build(cfg: CliConfig) -> int:
-    p = _resolve_params(cfg)
-    for n in cfg.subset:
+def cmd_build(args: argparse.Namespace) -> int:
+    p = _resolve_params(args)
+    subset = _parse_subset(args.set)
+    for n in subset:
         element_from_ordinal(p, n)  # range check before building
-    st = build_from_ordinals(p, cfg.subset)
+    st = build_from_ordinals(p, subset)
     blob = serialize(st)
-    assert cfg.out_path is not None
-    with open(cfg.out_path, "wb") as fh:
+    with open(args.out, "wb") as fh:
         fh.write(blob)
     total = st.total_bits()
     print(
         f"b={p.b} m={p.universe_size} |A|={st.table_a.nbits} "
         f"|B|={st.table_b.nbits} |C|={st.table_c.nbits} total={total} bits "
-        f"({(total + 7) // 8} payload bytes) -> {cfg.out_path}"
+        f"({(total + 7) // 8} payload bytes) -> {args.out}"
     )
     return 0
 
 
-def cmd_query(cfg: CliConfig) -> int:
-    assert cfg.in_path is not None and cfg.element is not None
-    with open(cfg.in_path, "rb") as fh:
+def cmd_query(args: argparse.Namespace) -> int:
+    with open(args.in_path, "rb") as fh:
         st = deserialize(fh.read())
-    e = element_from_ordinal(st.params, cfg.element)
+    e = element_from_ordinal(st.params, args.element)
     answer, trace = query(st, e)
     (t1, p1, v1), (t2, p2, v2) = trace
     suffix = ""
-    if cfg.fmt == "tuple":
+    if args.fmt == "tuple":
         (s, x, y), i = e
         suffix = f"  (s={s},x={x},y={y},i={i})"
-    print(f"{'YES' if answer else 'NO'} element={cfg.element}{suffix}")
+    print(f"{'YES' if answer else 'NO'} element={args.element}{suffix}")
     print(f"{t1}[{p1}]={v1} ; {t2}[{p2}]={v2}")
     return 0 if answer else 1
 
 
-def cmd_verify(cfg: CliConfig) -> int:
-    assert cfg.b is not None
-    if cfg.exhaustive:
+def cmd_verify(args: argparse.Namespace) -> int:
+    assert args.b is not None
+    _resolve_params(args)
+    if args.exhaustive:
         kwargs = {}
-        if cfg.max_queries is not None:
-            kwargs["max_queries"] = cfg.max_queries
-        report = verify_exhaustive(cfg.b, cfg.max_n, jobs=cfg.jobs, **kwargs)
+        if args.max_queries is not None:
+            kwargs["max_queries"] = args.max_queries
+        report = verify_exhaustive(args.b, args.max_n, jobs=args.jobs, **kwargs)
     else:
-        assert cfg.trials is not None
-        report = verify_random(cfg.b, cfg.trials, cfg.seed, cfg.n, jobs=cfg.jobs)
-    print(report.to_csv() if cfg.csv else report.to_text())
+        report = verify_random(args.b, args.trials, args.seed, args.n, jobs=args.jobs)
+    print(report.to_csv() if args.csv else report.to_text())
     return 0 if report.verdict == "PASS" else 1
 
 
-def cmd_stats(cfg: CliConfig) -> int:
-    assert cfg.b_range is not None
-    lo, hi = cfg.b_range
+def cmd_stats(args: argparse.Namespace) -> int:
+    lo, hi = _parse_b_range(args.b_range)
     if lo < 2 or hi < lo:
         raise ValueError(f"bad range {lo}..{hi}: need 2 <= LO <= HI")
     print(f"{'b':>4} {'|A|':>12} {'|B|':>12} {'|C|':>12} {'total':>13} {'total/b^5':>10}")
@@ -126,9 +109,8 @@ def cmd_stats(cfg: CliConfig) -> int:
     return 0
 
 
-def cmd_dump(cfg: CliConfig) -> int:
-    assert cfg.in_path is not None
-    with open(cfg.in_path, "rb") as fh:
+def cmd_dump(args: argparse.Namespace) -> int:
+    with open(args.in_path, "rb") as fh:
         st = deserialize(fh.read())
     print(f"b={st.params.b} m={st.params.universe_size}")
     for name, table in (("A", st.table_a), ("B", st.table_b), ("C", st.table_c)):
@@ -176,34 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    cfg = CliConfig(command=args.command)
-    if args.command == "build":
-        cfg.b = args.b
-        cfg.m = args.m
-        cfg.subset = _parse_subset(args.set)
-        cfg.out_path = args.out
-    elif args.command == "query":
-        cfg.in_path = args.in_path
-        cfg.element = args.element
-        cfg.fmt = args.fmt
-    elif args.command == "verify":
-        cfg.b = args.b
-        cfg.exhaustive = args.exhaustive
-        cfg.max_n = args.max_n
-        cfg.max_queries = args.max_queries
-        cfg.trials = args.trials
-        cfg.seed = args.seed
-        cfg.n = args.n
-        cfg.csv = args.csv
-        cfg.jobs = args.jobs
-    elif args.command == "stats":
-        cfg.b_range = _parse_b_range(args.b_range)
-    elif args.command == "dump":
-        cfg.in_path = args.in_path
-    return cfg
-
-
 _DISPATCH = {
     "build": cmd_build,
     "query": cmd_query,
@@ -217,8 +171,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _DISPATCH[cfg.command](cfg)
+        return _DISPATCH[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -99,18 +99,21 @@ class Params:
     def from_universe(cls, m: int) -> "Params":
         """Smallest valid parameters covering a universe of m elements.
 
-        Uses b = ceil(m**(1/6)), clamped to b >= 2.  When m is not a perfect
-        sixth power the universe is padded up to b**6; padded ordinals are
-        valid query targets that are simply never members.
+        Uses b = ceil(m**(1/6)), clamped to b >= 2, found by a binary search
+        in integers so that any m works.  When m is not a perfect sixth power
+        the universe is padded up to b**6; padded ordinals are valid query
+        targets that are simply never members.
         """
         if m < 1:
             raise ValueError(f"universe size must be >= 1, got {m}")
-        b = max(2, round(m ** (1 / 6)))
-        while b**6 < m:
-            b += 1
-        while b > 2 and (b - 1) ** 6 >= m:
-            b -= 1
-        return cls(b)
+        lo, hi = 2, max(2, 1 << -(-m.bit_length() // 6))  # hi**6 >= m
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if mid**6 < m:
+                lo = mid + 1
+            else:
+                hi = mid
+        return cls(lo)
 
 
 def element_from_ordinal(p: Params, n: int) -> ElementAddr:

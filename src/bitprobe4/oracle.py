@@ -1,7 +1,9 @@
 """Brute-force verification against ground truth, plus space accounting.
 
 Ground truth is always a direct membership test on the stored subset; the
-scheme side of every comparison goes through `scheme.query`.  Exhaustive
+scheme side of every comparison is one sweep kernel, `check_membership`,
+which reads the A bit and then one B or C bit of the built tables for each
+probed ordinal, the way `scheme.query` does.  Exhaustive
 verification enumerates every subset up to the size cap and checks every
 universe element; randomized verification draws seeded subsets from a
 splitmix64 stream, so identical seeds reproduce identical reports on any
@@ -14,13 +16,13 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations, islice
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .geometry import ElementAddr, Params, element_from_ordinal
+from .geometry import Params, element_from_ordinal
 from .scheme import (
     CaseLabel,
     MAX_MEMBERS,
@@ -31,7 +33,7 @@ from .scheme import (
     group_members,
     query,
 )
-from .tables import Structure
+from .tables import Structure, line_offsets
 
 # Full-universe checking is the default up to this b; above it, random
 # verification probes the members plus a seeded non-member sample.
@@ -113,61 +115,62 @@ class VerifyReport:
         return "\n".join(rows)
 
 
-@lru_cache(maxsize=8)
-def _element_table(b: int) -> tuple[ElementAddr, ...]:
-    p = Params(b)
-    return tuple(element_from_ordinal(p, n) for n in range(p.universe_size))
-
-
 def check_membership(
-    st: Structure, members: Iterable[int], cap: int | None = 32
+    st: Structure,
+    members: Iterable[int],
+    probes: Sequence[int] | None = None,
+    cap: int | None = 32,
+    *,
+    first_only: bool = False,
 ) -> CheckResult:
-    """Query every universe element of st and compare with membership in S.
+    """Answer each probe with the two-probe rule and compare with membership.
 
-    `members` are flat ordinals.  Also counts queries whose probe trace is
-    malformed (not exactly two probes starting in table A).
+    `members` and `probes` are flat ordinals; probes=None checks the whole
+    universe, and a probe outside [0, b**6) raises ValueError.  Both bit positions come straight from the
+    ordinal n (layout in `tables.py`): A at n // b, C at n % b**5, and B at
+    offset(s) + (x - s*y + s*(b**2 - 1))*b + i.  Wrong answers are recorded
+    up to `cap` with `scheme.query`'s trace as evidence; `first_only` stops
+    at the first one.  An element whose A read is not followed by exactly
+    one B or C read counts as a trace violation.
     """
     p = st.params
-    elems = _element_table(p.b)
+    if probes and not (0 <= min(probes) and max(probes) < p.universe_size):
+        raise ValueError(f"probe ordinals must lie in [0, {p.universe_size})")
+    b = p.b
+    g = b * b
+    gb = g * b
+    c_mod = gb * g
+    # With c = n % b**5 = (y*b**2 + x)*b + i, the B position is
+    # offset(s) + s*(b**2 - 1)*b + c - y*b*(b**2 + s), where y = c // b**3.
+    offsets = line_offsets(b)
+    bases = [offsets[j] + (j + 1) * (g - 1) * b for j in range(b)]
+    steps = [b * (g + j + 1) for j in range(b)]
+    ta, tb, tc = st.table_a.data, st.table_b.data, st.table_c.data
     mem = frozenset(members)
     subset_key = tuple(sorted(mem))
     failures: list[Failure] = []
-    total = 0
-    violations = 0
-    q = query
-    for n in range(p.universe_size):
-        got, trace = q(st, elems[n])
-        if len(trace) != 2 or trace[0][0] != "A":
-            violations += 1
-        if got != (n in mem):
-            total += 1
-            if cap is None or len(failures) < cap:
-                failures.append(Failure(subset_key, n, n in mem, got, trace))
-    return CheckResult(len(elems), failures, total, violations)
-
-
-def check_sampled(
-    st: Structure, members: Iterable[int], probes: Iterable[int], cap: int | None = 32
-) -> CheckResult:
-    """Like check_membership but only for the given probe ordinals."""
-    p = st.params
-    elems = _element_table(p.b)
-    mem = frozenset(members)
-    subset_key = tuple(sorted(mem))
-    failures: list[Failure] = []
-    total = 0
-    violations = 0
-    queries = 0
-    for n in probes:
-        got, trace = query(st, elems[n])
+    queries = total = second_reads = 0
+    for n in range(p.universe_size) if probes is None else probes:
         queries += 1
-        if len(trace) != 2 or trace[0][0] != "A":
-            violations += 1
+        a = n // b
+        if ta[a >> 3] >> (a & 7) & 1:
+            pos = n % c_mod
+            got = tc[pos >> 3] >> (pos & 7) & 1
+            second_reads += 1
+        else:
+            sm1 = n // c_mod
+            c = n - sm1 * c_mod
+            pos = bases[sm1] + c - c // gb * steps[sm1]
+            got = tb[pos >> 3] >> (pos & 7) & 1
+            second_reads += 1
         if got != (n in mem):
             total += 1
             if cap is None or len(failures) < cap:
-                failures.append(Failure(subset_key, n, n in mem, got, trace))
-    return CheckResult(queries, failures, total, violations)
+                trace = query(st, element_from_ordinal(p, n))[1]
+                failures.append(Failure(subset_key, n, n in mem, bool(got), trace))
+            if first_only:
+                break
+    return CheckResult(queries, failures, total, queries - second_reads)
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +221,24 @@ def draw_subset(seed: int, trial: int, n: int, m: int) -> tuple[int, ...]:
 
 
 def _draw_nonmembers(seed: int, trial: int, count: int, m: int, members: frozenset[int]) -> list[int]:
-    stream = _trial_stream(seed, trial, _NONMEMBER_SALT)
+    """`count` distinct seeded non-members of [0, m), sorted.
+
+    The draws of `_draw_below` on `_trial_stream(seed, trial,
+    _NONMEMBER_SALT)`, with the generator inlined into one loop.
+    """
+    state = _mix64(((seed + trial * _GOLDEN) ^ _NONMEMBER_SALT) & _MASK64)
+    limit = (1 << 64) - (1 << 64) % m
     chosen: set[int] = set()
+    add = chosen.add
     while len(chosen) < count:
-        v = _draw_below(stream, m)
-        if v not in members:
-            chosen.add(v)
+        state = (state + _GOLDEN) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z ^= z >> 31
+        if z < limit:
+            z %= m
+            if z not in members:
+                add(z)
     return sorted(chosen)
 
 
@@ -252,26 +267,18 @@ def _merge(
     )
 
 
-def _check_one_subset(p: Params, combo: tuple[int, ...], cap: int):
-    """Build, classify, and fully check one subset; returns (label, result)."""
-    members = [element_from_ordinal(p, n) for n in combo]
-    grouped = group_members(p, members)
-    blocks = sorted(grouped)
-    label = classify(p, blocks)
-    st = _fill_tables(p, grouped, assign_blocks(p, blocks))
-    return label, st, check_membership(st, combo, cap)
-
-
-def _exhaustive_chunk(task: tuple[int, int, int, int, int]) -> tuple:
-    b, k, lo, hi, cap = task
-    p = Params(b)
-    m = p.universe_size
+def _check_subsets(p: Params, cases: Iterable[tuple], cap: int) -> tuple:
+    """Build, classify and check each (subset, probes) case; probes=None
+    checks the whole universe.  Returns one partial report for `_merge`."""
     hist = [0] * len(_CASE_ORDER)
     failures: list[Failure] = []
     subsets = queries = failures_total = violations = 0
-    for combo in islice(combinations(range(m), k), lo, hi):
-        label, _, res = _check_one_subset(p, combo, cap)
-        hist[_CASE_INDEX[label]] += 1
+    for combo, probes in cases:
+        grouped = group_members(p, [element_from_ordinal(p, n) for n in combo])
+        blocks = sorted(grouped)
+        hist[_CASE_INDEX[classify(p, blocks)]] += 1
+        st = _fill_tables(p, grouped, assign_blocks(p, blocks))
+        res = check_membership(st, combo, probes, cap)
         subsets += 1
         queries += res.queries
         failures_total += res.failures_total
@@ -279,48 +286,42 @@ def _exhaustive_chunk(task: tuple[int, int, int, int, int]) -> tuple:
         if res.failures and len(failures) < cap:
             failures.extend(res.failures[: cap - len(failures)])
     return subsets, queries, failures, failures_total, hist, violations
+
+
+def _exhaustive_chunk(task: tuple[int, int, int, int, int]) -> tuple:
+    b, k, lo, hi, cap = task
+    p = Params(b)
+    combos = islice(combinations(range(p.universe_size), k), lo, hi)
+    return _check_subsets(p, ((combo, None) for combo in combos), cap)
 
 
 def _random_chunk(task: tuple[int, int, int, int, int, int]) -> tuple:
     b, n, seed, lo, hi, cap = task
     p = Params(b)
     m = p.universe_size
-    hist = [0] * len(_CASE_ORDER)
-    failures: list[Failure] = []
-    subsets = queries = failures_total = violations = 0
-    full = b <= FULL_CHECK_MAX_B
-    for t in range(lo, hi):
-        combo = draw_subset(seed, t, n, m)
-        if full:
-            label, _, res = _check_one_subset(p, combo, cap)
-        else:
-            members = [element_from_ordinal(p, v) for v in combo]
-            grouped = group_members(p, members)
-            blocks = sorted(grouped)
-            label = classify(p, blocks)
-            st = _fill_tables(p, grouped, assign_blocks(p, blocks))
-            mem = frozenset(combo)
-            probes = list(combo) + _draw_nonmembers(
-                seed, t, NONMEMBER_PROBES, m, mem
-            )
-            res = check_sampled(st, combo, probes, cap)
-        hist[_CASE_INDEX[label]] += 1
-        subsets += 1
-        queries += res.queries
-        failures_total += res.failures_total
-        violations += res.trace_violations
-        if res.failures and len(failures) < cap:
-            failures.extend(res.failures[: cap - len(failures)])
-    return subsets, queries, failures, failures_total, hist, violations
+
+    def cases():
+        for t in range(lo, hi):
+            combo = draw_subset(seed, t, n, m)
+            if b <= FULL_CHECK_MAX_B:
+                yield combo, None
+            else:
+                yield combo, list(combo) + _draw_nonmembers(
+                    seed, t, NONMEMBER_PROBES, m, frozenset(combo)
+                )
+
+    return _check_subsets(p, cases(), cap)
 
 
 def _run_tasks(worker, tasks: list, jobs: int) -> list:
-    if jobs > 1 and len(tasks) > 1:
+    """Map worker over tasks on at most min(jobs, tasks, CPUs) processes."""
+    jobs = min(jobs, len(tasks), os.cpu_count() or 1)
+    if jobs > 1:
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:
             ctx = multiprocessing.get_context()
-        with ctx.Pool(min(jobs, len(tasks))) as pool:
+        with ctx.Pool(jobs) as pool:
             return pool.map(worker, tasks)
     return [worker(t) for t in tasks]
 
@@ -460,12 +461,7 @@ class FlipAuditReport:
 
 
 def _flip_detected(st: Structure, mem: frozenset[int]) -> bool:
-    elems = _element_table(st.params.b)
-    for n in range(st.params.universe_size):
-        got, _ = query(st, elems[n])
-        if got != (n in mem):
-            return True
-    return False
+    return check_membership(st, mem, cap=0, first_only=True).failures_total > 0
 
 
 def audit_bit_flips(

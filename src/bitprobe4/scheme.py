@@ -37,7 +37,7 @@ from .geometry import (
     points_on_line,
     validate_element,
 )
-from .tables import Structure, a_index, b_index, c_index, line_offsets
+from .tables import Structure, line_offsets
 
 MAX_MEMBERS = 4
 
@@ -177,26 +177,39 @@ def assign_blocks(p: Params, non_empty: Iterable[BlockAddr]) -> Assignment:
 def _fill_tables(
     p: Params, grouped: Mapping[BlockAddr, set[int]], asg: Assignment
 ) -> Structure:
-    """Set every bit implied by a routing of the grouped members."""
+    """Set every bit implied by a routing of the grouped members.
+
+    Bits are written straight into the tables' bytes at the positions of
+    the layout in `tables.py`.
+    """
     st = Structure.empty(p)
-    a = st.table_a
+    b = p.b
+    g = b * b
+    a, tb, tc = st.table_a.data, st.table_b.data, st.table_c.data
     # Empty blocks default to A=0 (table B); blocks on a B-routed block's
     # line are B-blocked and flip to A=1 (table C).  The sweep also marks
     # the B-routed block itself; its own bit is corrected below.
     for blk in asg.placed_b:
-        line = line_of(blk)
-        s = blk.s
-        for x, y in points_on_line(p, line):
-            a[a_index(p, BlockAddr(s, x, y))] = 1
+        base = (blk.s - 1) * g * g
+        for x, y in points_on_line(p, line_of(blk)):
+            pos = base + y * g + x
+            a[pos >> 3] |= 1 << (pos & 7)
+    offsets = line_offsets(b)
     for blk in asg.placed_b:
-        a[a_index(p, blk)] = 0
-        line = line_of(blk)
+        s, x, y = blk
+        pos = (s - 1) * g * g + y * g + x
+        a[pos >> 3] &= ~(1 << (pos & 7))
+        line_base = offsets[s - 1] + (x - s * y + s * (g - 1)) * b
         for i in grouped[blk]:
-            st.table_b[b_index(p, line, i)] = 1
+            pos = line_base + i
+            tb[pos >> 3] |= 1 << (pos & 7)
     for blk in asg.placed_c:
-        a[a_index(p, blk)] = 1
+        s, x, y = blk
+        pos = (s - 1) * g * g + y * g + x
+        a[pos >> 3] |= 1 << (pos & 7)
         for i in grouped[blk]:
-            st.table_c[c_index(p, blk.x, blk.y, i)] = 1
+            pos = (y * g + x) * b + i
+            tc[pos >> 3] |= 1 << (pos & 7)
     return st
 
 

@@ -16,7 +16,9 @@ Bit positions:
     B(line, i)    = offset(s) + line_ordinal(line) * b + i
     C(x, y, i)    = (y * b**2 + x) * b + i
 
-where offset(s) accumulates num_lines(j) * b over superblocks j < s.
+where offset(s) accumulates num_lines(j) * b over superblocks j < s:
+
+    offset(s)     = b * ((b**2 - 1) * (s - 1) * (s + 2) / 2 + s - 1)
 
 Bits pack least-significant-bit first: bit k lives in byte k // 8 at bit
 position k % 8.  The serialized file is magic "BP42", a version byte, b as
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .geometry import BlockAddr, LineRef, Params, line_ordinal, num_lines, validate_block
+from .geometry import BlockAddr, LineRef, Params, line_ordinal, validate_block
 
 MAGIC = b"BP42"
 FORMAT_VERSION = 1
@@ -113,18 +115,23 @@ class BitTable:
         return f"BitTable(nbits={self.nbits}, ones={list(self.ones())!r})"
 
 
-@lru_cache(maxsize=None)
+def b_offset(b: int, s: int) -> int:
+    """Bit offset of superblock s's line slots in table B, in closed form.
+
+    Sums num_lines(j) * b over j < s; s = b + 1 gives |B|.  O(1) in b, so
+    a hostile header's b costs nothing to size.
+    """
+    return b * ((b * b - 1) * (s - 1) * (s + 2) // 2 + s - 1)
+
+
+@lru_cache(maxsize=32)
 def line_offsets(b: int) -> tuple[int, ...]:
     """Per-superblock bit offsets into table B, plus the total as last entry.
 
     offsets[s - 1] is where superblock s's line blocks start; offsets[b]
     equals |B|.
     """
-    p = Params(b)
-    offsets = [0]
-    for s in range(1, b + 1):
-        offsets.append(offsets[-1] + num_lines(p, s) * b)
-    return tuple(offsets)
+    return tuple(b_offset(b, s) for s in range(1, b + 2))
 
 
 def size_a(p: Params) -> int:
@@ -132,7 +139,7 @@ def size_a(p: Params) -> int:
 
 
 def size_b(p: Params) -> int:
-    return line_offsets(p.b)[-1]
+    return b_offset(p.b, p.b + 1)
 
 
 def size_c(p: Params) -> int:

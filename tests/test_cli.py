@@ -38,6 +38,14 @@ class TestBuild:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("size", [("--m", str(10**400)), ("--b", "54")])
+    def test_oversized_structure_refused(self, tmp_path, capsys, size):
+        out_file = tmp_path / "x"
+        code, _, err = run(capsys, "build", *size, "--set", "0", "--out", str(out_file))
+        assert code == 2
+        assert "over the limit" in err
+        assert not out_file.exists()
+
     def test_m_padding_notice(self, tmp_path, capsys):
         code, out, _ = run(
             capsys, "build", "--m", "100", "--set", "0", "--out", str(tmp_path / "m.bp4")

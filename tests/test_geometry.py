@@ -46,6 +46,9 @@ class TestParams:
         assert Params.from_universe(729).b == 3
         assert Params.from_universe(1).b == 2
         assert Params.from_universe(4097).b == 5
+        huge = 10**400  # beyond float range: the root is taken in integers
+        b = Params.from_universe(huge).b
+        assert (b - 1) ** 6 < huge <= b**6
 
     def test_from_universe_rejects_nonpositive(self):
         with pytest.raises(ValueError):

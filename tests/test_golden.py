@@ -1,0 +1,129 @@
+"""Golden checks: answers, probe positions, draws and bytes that must not drift.
+
+The sweep kernel (`check_membership`) is compared element by element with
+`scheme.query`, on seeded structures as built and with single bits of
+tables A, B and C flipped.  A flipped B or C bit must change the kernel's
+answer for exactly the elements whose second probe reads that bit, which
+pins the kernel's probe positions to the ones `query` reports.  The
+digests below were recorded from the implementation that answered every
+element through `query`.
+"""
+
+import hashlib
+
+import pytest
+
+from bitprobe4.geometry import Params, element_from_ordinal
+from bitprobe4.oracle import _draw_nonmembers, check_membership, draw_subset
+from bitprobe4.scheme import build_from_ordinals, query
+from bitprobe4.tables import serialize
+
+# b, non-member probes per structure (None: the whole universe), flips
+# per structure (None: every bit of every table).
+KERNEL_CASES = [(2, None, None), (3, None, 24), (4, None, 12), (8, 400, 24)]
+
+
+def probe_list(p: Params, subset: tuple[int, ...], t: int, nonmembers: int | None):
+    if nonmembers is None:
+        return list(range(p.universe_size))
+    return list(subset) + _draw_nonmembers(11, t, nonmembers, p.universe_size, frozenset(subset))
+
+
+def kernel_yes(st, probes) -> set[int]:
+    """Elements the kernel answers YES for: with no members, every YES is
+    a recorded wrong answer."""
+    res = check_membership(st, [], probes, cap=None)
+    assert res.queries == len(probes) and res.trace_violations == 0
+    assert res.failures_total == len(res.failures)
+    return {f.element for f in res.failures}
+
+
+def reference(st, probes) -> dict[int, tuple]:
+    p = st.params
+    return {n: query(st, element_from_ordinal(p, n)) for n in probes}
+
+
+def flip_targets(st, ref, count, t):
+    """Bits to flip: all of them, or the bits read by a seeded sample of
+    the probed elements (their A bit and their second-probe bit)."""
+    tables = {"A": st.table_a, "B": st.table_b, "C": st.table_c}
+    if count is None:
+        return [(name, pos) for name, table in tables.items() for pos in range(table.nbits)]
+    probes = sorted(ref)
+    picks = [probes[(t * 7919 + 104729 * k) % len(probes)] for k in range(count // 2)]
+    targets = []
+    for n in picks:
+        (_, a_pos, _), (second, pos, _) = ref[n][1]
+        targets += [("A", a_pos), (second, pos)]
+    return targets
+
+
+@pytest.mark.parametrize("b,nonmembers,flips", KERNEL_CASES)
+def test_kernel_agrees_with_query(b, nonmembers, flips):
+    p = Params(b)
+    for t in range(5):
+        subset = draw_subset(3, t, t % 5, p.universe_size)
+        st = build_from_ordinals(p, subset)
+        probes = probe_list(p, subset, t, nonmembers)
+        ref = reference(st, probes)
+        base = kernel_yes(st, probes)
+        assert base == {n for n, (got, _) in ref.items() if got}
+        assert base & set(probes) == set(subset)
+        clean = check_membership(st, subset, probes)
+        assert (clean.failures_total, clean.trace_violations) == (0, 0)
+
+        tables = {"A": st.table_a, "B": st.table_b, "C": st.table_c}
+        for name, pos in flip_targets(st, ref, flips, t):
+            tables[name].flip(pos)
+            try:
+                flipped = kernel_yes(st, probes)
+                after = reference(st, probes)
+                assert flipped == {n for n, (got, _) in after.items() if got}, (name, pos)
+                if name != "A":
+                    readers = {n for n, (_, trace) in ref.items() if trace[1][:2] == (name, pos)}
+                    assert flipped ^ base == readers, (name, pos)
+                res = check_membership(st, subset, probes, cap=None)
+                for f in res.failures:
+                    assert f.trace == after[f.element][1]
+                    assert f.got == after[f.element][0] != f.expected
+            finally:
+                tables[name].flip(pos)
+
+
+# sha256 over ",".join of the sorted draw, for trials 0..4 of seed 1 at b=8.
+NONMEMBER_DIGESTS = [
+    "69db974cd63cd963ad9526ad59831c37f8a486fbf6a17840594cfa2620b9b383",
+    "a74d9f7a2b21022e6de16012492de4819c1586b6c15a6432bbd4fc5bbb826d81",
+    "9de74ffd66d5e36f8fdd95998e5b3b788e686153e20ad3286686f62f6b0c6254",
+    "9822e4b71d7b9ec9c1053782eca9591b791916de62a317e16751f5604b740ff0",
+    "c1881d011dd734bab05555371eca20ddd7564b3704ac5a312a0be70651843c81",
+]
+
+
+@pytest.mark.parametrize("t", range(5))
+def test_nonmember_draw_is_frozen(t):
+    m = 8**6
+    members = frozenset(draw_subset(1, t, 4, m))
+    drawn = _draw_nonmembers(1, t, 10_000, m, members)
+    assert len(drawn) == 10_000 and not members & set(drawn)
+    digest = hashlib.sha256(",".join(map(str, drawn)).encode()).hexdigest()
+    assert digest == NONMEMBER_DIGESTS[t]
+
+
+# b -> (structures, sha256 over their concatenated serialized bytes).
+BLOB_DIGESTS = {
+    2: (40, "829fa5bb06171414ad50e7df163b61a94f3cdef5355ee3dc55d2d2cbf03e8887"),
+    3: (40, "51e12ec616327a06bdddcd9b46395ba7aa52c7372a14589c587299854cfca083"),
+    8: (20, "d08daa2cdfb0042a0a3fd4f3eee89724da5f525bc23052b151fe4477c7080d7a"),
+    16: (5, "3da0f450dbd0800543ab4d533fea7084302d432b8f3acfa97bf15fd06fd2afb2"),
+}
+
+
+@pytest.mark.parametrize("b", sorted(BLOB_DIGESTS))
+def test_serialized_bytes_are_frozen(b):
+    p = Params(b)
+    count, expected = BLOB_DIGESTS[b]
+    h = hashlib.sha256()
+    for t in range(count):
+        h.update(serialize(build_from_ordinals(p, draw_subset(5, t, t % 5, p.universe_size))))
+    assert h.hexdigest() == expected

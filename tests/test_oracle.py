@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from bitprobe4 import oracle
 from bitprobe4.geometry import Params
 from bitprobe4.oracle import (
     FeasibilityError,
@@ -45,6 +46,12 @@ class TestCheckMembership:
         first = res.failures[0]
         assert len(first.trace) == 2 and first.trace[0][0] == "A"
 
+    @pytest.mark.parametrize("probe", [-1, 64, 100])
+    def test_out_of_range_probe_rejected(self, probe):
+        st = build_from_ordinals(Params(2), [63])
+        with pytest.raises(ValueError, match="probe ordinals"):
+            check_membership(st, [], [0, probe])
+
     def test_failure_cap(self):
         st = build_from_ordinals(Params(2), [])
         for pos in range(st.table_b.nbits):
@@ -52,6 +59,34 @@ class TestCheckMembership:
         res = check_membership(st, [], cap=5)
         assert len(res.failures) == 5
         assert res.failures_total > 5
+
+
+class TestRunTasks:
+    def test_pool_size_clamped_to_cpu_count(self, monkeypatch):
+        sizes = []
+
+        class FakePool:
+            def __init__(self, size):
+                sizes.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(t) for t in tasks]
+
+        class FakeContext:
+            Pool = FakePool
+
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(oracle.multiprocessing, "get_context", lambda *a: FakeContext())
+        assert oracle._run_tasks(abs, list(range(-50, 0)), 10_000) == list(range(50, 0, -1))
+        assert oracle._run_tasks(abs, [-1, -2], 10_000) == [1, 2]
+        assert oracle._run_tasks(abs, [-1, -2], 1) == [1, 2]
+        assert sizes == [3, 2]
 
 
 class TestVerifyExhaustive:

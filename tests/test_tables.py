@@ -1,9 +1,14 @@
+import time
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bitprobe4.geometry import BlockAddr, Params, lines_of_superblock, num_lines
+from bitprobe4.oracle import draw_subset
 from bitprobe4.scheme import build_from_ordinals
 from bitprobe4.tables import (
+    FORMAT_VERSION,
+    MAGIC,
     BadMagicError,
     BitTable,
     LengthMismatchError,
@@ -221,3 +226,47 @@ class TestSerialization:
         blob[5] = 1
         with pytest.raises(ParseError):
             deserialize(bytes(blob))
+
+    @pytest.mark.parametrize("b", [10**7, 2**63 - 1])
+    def test_hostile_b_fails_fast(self, b):
+        header = MAGIC + bytes([FORMAT_VERSION]) + b.to_bytes(8, "little")
+        declared_a = min(b**5, 2**64 - 1).to_bytes(8, "little")
+        for blob in (header, header + declared_a, header + declared_a + bytes(64)):
+            start = time.perf_counter()
+            with pytest.raises(ParseError):
+                deserialize(blob)
+            assert time.perf_counter() - start < 0.1
+
+
+def _seeded_blob(b: int, t: int) -> bytes:
+    p = Params(b)
+    return serialize(build_from_ordinals(p, draw_subset(9, t, t % 5, p.universe_size)))
+
+
+@settings(max_examples=300, deadline=200)
+@given(
+    b=st.sampled_from([2, 3]),
+    t=st.integers(0, 9),
+    edits=st.lists(
+        st.tuples(st.integers(0, 10**6), st.sampled_from(["xor", "cut", "grow", "word"]), st.integers(0, 2**64 - 1)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_fuzzed_blobs_roundtrip_or_raise_parse_error(b, t, edits):
+    blob = bytearray(_seeded_blob(b, t))
+    for where, kind, value in edits:
+        at = where % (len(blob) + 1)
+        if kind == "xor" and at < len(blob):
+            blob[at] ^= value % 255 + 1
+        elif kind == "cut":
+            del blob[at:]
+        elif kind == "grow":
+            blob[at:at] = value.to_bytes(8, "little")[: value % 9]
+        elif kind == "word":
+            blob[at : at + 8] = value.to_bytes(8, "little")
+    try:
+        st_ = deserialize(bytes(blob))
+    except ParseError:
+        return
+    assert serialize(st_) == bytes(blob)
