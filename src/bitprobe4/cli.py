@@ -12,10 +12,7 @@ import sys
 from .geometry import Params, element_from_ordinal
 from .oracle import space_audit, verify_exhaustive, verify_random
 from .scheme import build_from_ordinals, query
-from .tables import deserialize, serialize, size_a, size_b, size_c
-
-# Largest structure build and verify allocate: 2**30 bits (128 MiB), b <= 53.
-MAX_STRUCTURE_BITS = 1 << 30
+from .tables import deserialize, serialize
 
 
 def _parse_subset(text: str) -> list[int]:
@@ -32,25 +29,13 @@ def _parse_b_range(text: str) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
-def _resolve_params(args: argparse.Namespace) -> Params:
-    """Params from --b or --m, refused when its tables exceed the limit."""
+def cmd_build(args: argparse.Namespace) -> int:
     p = Params(args.b) if args.b is not None else Params.from_universe(args.m)
-    bits = size_a(p) + size_b(p) + size_c(p)
-    if bits > MAX_STRUCTURE_BITS:
-        raise ValueError(
-            f"b={p.b} needs {bits} table bits, over the limit of "
-            f"{MAX_STRUCTURE_BITS} (b <= 53)"
-        )
     if args.b is None and p.universe_size != args.m:
         print(
             f"note: universe padded to m={p.universe_size} (b={p.b}) "
             f"for requested m={args.m}"
         )
-    return p
-
-
-def cmd_build(args: argparse.Namespace) -> int:
-    p = _resolve_params(args)
     subset = _parse_subset(args.set)
     for n in subset:
         element_from_ordinal(p, n)  # range check before building
@@ -83,8 +68,6 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    assert args.b is not None
-    _resolve_params(args)
     if args.exhaustive:
         kwargs = {}
         if args.max_queries is not None:

@@ -171,11 +171,14 @@ def anchor_bounds(p: Params, s: int) -> tuple[int, int]:
     return -s * (g - 1), g
 
 
-def points_on_line(p: Params, l: LineRef) -> list[tuple[int, int]]:
-    """All grid points on line l, ordered by increasing y.
+def line_blocks(p: Params, l: LineRef) -> range:
+    """Block ordinals n // b (also their table-A positions) of the blocks on
+    line l, ordered by increasing y.
 
-    The points are exactly the integer solutions of x = anchor + s*y inside
-    [0, grid_side)^2; every in-range anchor yields at least one.
+    The grid points are the integer solutions of x = anchor + s*y inside
+    [0, grid_side)^2, so the ordinals (s - 1)*b**4 + y*b**2 + x form the
+    progression (s - 1)*b**4 + anchor + y*(b**2 + s); every in-range
+    anchor yields at least one.
     """
     s, a = l
     lo_a, hi_a = anchor_bounds(p, s)
@@ -184,7 +187,14 @@ def points_on_line(p: Params, l: LineRef) -> list[tuple[int, int]]:
     g = p.grid_side
     y_lo = max(0, -(a // s))
     y_hi = min(g, (g - 1 - a) // s + 1)
-    return [(a + s * y, y) for y in range(y_lo, y_hi)]
+    base = (s - 1) * g * g + a
+    return range(base + y_lo * (g + s), base + y_hi * (g + s), g + s)
+
+
+def points_on_line(p: Params, l: LineRef) -> list[tuple[int, int]]:
+    """All grid points (x, y) on line l, ordered by increasing y."""
+    g = p.grid_side
+    return [(n % g, n // g % g) for n in line_blocks(p, l)]
 
 
 def num_lines(p: Params, s: int) -> int:

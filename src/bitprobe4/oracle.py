@@ -1,15 +1,16 @@
 """Brute-force verification against ground truth, plus space accounting.
 
 Ground truth is always a direct membership test on the stored subset; the
-scheme side of every comparison is one sweep kernel, `check_membership`,
-which reads the A bit and then one B or C bit of the built tables for each
-probed ordinal, the way `scheme.query` does.  Exhaustive
+scheme side is `yes_set`, the elements a structure answers YES for, listed
+by inverting the probe map of each 1 bit of B and C.  Exhaustive
 verification enumerates every subset up to the size cap and checks every
 universe element; randomized verification draws seeded subsets from a
 splitmix64 stream, so identical seeds reproduce identical reports on any
-platform.  Subset checks are independent and can be spread over worker
-processes; partial results merge in enumeration order, so the report does
-not depend on the worker count.
+platform.  Above b = 4 it probes the members plus a seeded non-member
+sample, drawn only when some non-member is answered YES (otherwise the
+sample cannot change the report).  Subset checks are independent and can
+be spread over worker processes; partial results merge in enumeration
+order, so the report does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ import math
 import multiprocessing
 import os
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations, islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .geometry import Params, element_from_ordinal
+from .geometry import LineRef, Params, element_from_ordinal, line_blocks
 from .scheme import (
     CaseLabel,
     MAX_MEMBERS,
@@ -115,6 +117,48 @@ class VerifyReport:
         return "\n".join(rows)
 
 
+def yes_set(st: Structure) -> set[int]:
+    """Every ordinal the structure answers YES for, in O(bytes + ones * b**2).
+
+    A 1 bit of C at c is read by the elements (s - 1)*b**5 + c whose A bit
+    is 1; a 1 bit of B at index i of a line's slot is read by index i of
+    each block on that line whose A bit is 0 (layout in `tables.py`).
+    """
+    p = st.params
+    b = p.b
+    ta = st.table_a.data
+    yes: set[int] = set()
+    for c in st.table_c.ones():
+        for a in range(c // b, p.num_blocks, p.blocks_per_superblock):
+            if ta[a >> 3] >> (a & 7) & 1:
+                yes.add(a * b + c % b)
+    offsets = line_offsets(b)
+    for pos in st.table_b.ones():
+        s = bisect_right(offsets, pos)
+        line, i = divmod(pos - offsets[s - 1], b)
+        for a in line_blocks(p, LineRef(s, line - s * (p.grid_side - 1))):
+            if not ta[a >> 3] >> (a & 7) & 1:
+                yes.add(a * b + i)
+    return yes
+
+
+class _Sample:
+    """Probes of one sampled trial, all in range: the members, then
+    NONMEMBER_PROBES seeded non-members, drawn only when iterated."""
+
+    def __init__(self, members: tuple[int, ...], seed: int, trial: int, m: int):
+        self.members, self.seed, self.trial, self.m = members, seed, trial, m
+
+    def __len__(self) -> int:
+        return len(self.members) + NONMEMBER_PROBES
+
+    def __iter__(self) -> Iterator[int]:
+        yield from self.members
+        yield from _draw_nonmembers(
+            self.seed, self.trial, NONMEMBER_PROBES, self.m, frozenset(self.members)
+        )
+
+
 def check_membership(
     st: Structure,
     members: Iterable[int],
@@ -126,51 +170,40 @@ def check_membership(
     """Answer each probe with the two-probe rule and compare with membership.
 
     `members` and `probes` are flat ordinals; probes=None checks the whole
-    universe, and a probe outside [0, b**6) raises ValueError.  Both bit positions come straight from the
-    ordinal n (layout in `tables.py`): A at n // b, C at n % b**5, and B at
-    offset(s) + (x - s*y + s*(b**2 - 1))*b + i.  Wrong answers are recorded
-    up to `cap` with `scheme.query`'s trace as evidence; `first_only` stops
-    at the first one.  An element whose A read is not followed by exactly
-    one B or C read counts as a trace violation.
+    universe in ascending order, a probe sequence is checked in its order,
+    duplicates included, and a probe outside [0, b**6) raises ValueError.
+    The wrong answers are `yes_set(st) ^ members`, so probes cost one set
+    lookup each, and nothing when no answer is wrong.  They are recorded up
+    to `cap` with `scheme.query`'s trace as evidence; `first_only` stops at
+    the first.  Every answer reads one A bit, then one B or C bit, so
+    `trace_violations` is 0 by construction.
     """
     p = st.params
-    if probes and not (0 <= min(probes) and max(probes) < p.universe_size):
-        raise ValueError(f"probe ordinals must lie in [0, {p.universe_size})")
-    b = p.b
-    g = b * b
-    gb = g * b
-    c_mod = gb * g
-    # With c = n % b**5 = (y*b**2 + x)*b + i, the B position is
-    # offset(s) + s*(b**2 - 1)*b + c - y*b*(b**2 + s), where y = c // b**3.
-    offsets = line_offsets(b)
-    bases = [offsets[j] + (j + 1) * (g - 1) * b for j in range(b)]
-    steps = [b * (g + j + 1) for j in range(b)]
-    ta, tb, tc = st.table_a.data, st.table_b.data, st.table_c.data
+    m = p.universe_size
     mem = frozenset(members)
+    wrong = yes_set(st) ^ mem
+    if probes is None:
+        queries = m
+        hits: Iterable[int] = sorted(n for n in wrong if 0 <= n < m)
+    else:
+        queries = len(probes)
+        if isinstance(probes, _Sample):
+            if wrong <= mem:  # the drawn non-members cannot fail
+                probes = probes.members
+        elif probes and not (0 <= min(probes) and max(probes) < m):
+            raise ValueError(f"probe ordinals must lie in [0, {m})")
+        hits = filter(wrong.__contains__, probes) if wrong else ()
     subset_key = tuple(sorted(mem))
     failures: list[Failure] = []
-    queries = total = second_reads = 0
-    for n in range(p.universe_size) if probes is None else probes:
-        queries += 1
-        a = n // b
-        if ta[a >> 3] >> (a & 7) & 1:
-            pos = n % c_mod
-            got = tc[pos >> 3] >> (pos & 7) & 1
-            second_reads += 1
-        else:
-            sm1 = n // c_mod
-            c = n - sm1 * c_mod
-            pos = bases[sm1] + c - c // gb * steps[sm1]
-            got = tb[pos >> 3] >> (pos & 7) & 1
-            second_reads += 1
-        if got != (n in mem):
-            total += 1
-            if cap is None or len(failures) < cap:
-                trace = query(st, element_from_ordinal(p, n))[1]
-                failures.append(Failure(subset_key, n, n in mem, bool(got), trace))
-            if first_only:
-                break
-    return CheckResult(queries, failures, total, queries - second_reads)
+    total = 0
+    for n in hits:
+        total += 1
+        if cap is None or len(failures) < cap:
+            trace = query(st, element_from_ordinal(p, n))[1]
+            failures.append(Failure(subset_key, n, n in mem, n not in mem, trace))
+        if first_only:
+            break
+    return CheckResult(queries, failures, total, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +336,7 @@ def _random_chunk(task: tuple[int, int, int, int, int, int]) -> tuple:
     def cases():
         for t in range(lo, hi):
             combo = draw_subset(seed, t, n, m)
-            if b <= FULL_CHECK_MAX_B:
-                yield combo, None
-            else:
-                yield combo, list(combo) + _draw_nonmembers(
-                    seed, t, NONMEMBER_PROBES, m, frozenset(combo)
-                )
+            yield combo, None if b <= FULL_CHECK_MAX_B else _Sample(combo, seed, t, m)
 
     return _check_subsets(p, cases(), cap)
 
@@ -460,10 +488,6 @@ class FlipAuditReport:
         return 1.0 if changing == 0 else self.detected / changing
 
 
-def _flip_detected(st: Structure, mem: frozenset[int]) -> bool:
-    return check_membership(st, mem, cap=0, first_only=True).failures_total > 0
-
-
 def audit_bit_flips(
     b: int,
     structures: int = 100,
@@ -494,7 +518,7 @@ def audit_bit_flips(
         for name, table in (("A", st.table_a), ("B", st.table_b), ("C", st.table_c)):
             for pos in range(table.nbits):
                 table.flip(pos)
-                detected = _flip_detected(st, mem)
+                detected = check_membership(st, mem, cap=0, first_only=True).failures_total > 0
                 table.flip(pos)
                 report.flips += 1
                 if detected:

@@ -33,8 +33,8 @@ from .geometry import (
     BlockAddr,
     ElementAddr,
     Params,
+    line_blocks,
     line_of,
-    points_on_line,
     validate_element,
 )
 from .tables import Structure, line_offsets
@@ -187,12 +187,10 @@ def _fill_tables(
     g = b * b
     a, tb, tc = st.table_a.data, st.table_b.data, st.table_c.data
     # Empty blocks default to A=0 (table B); blocks on a B-routed block's
-    # line are B-blocked and flip to A=1 (table C).  The sweep also marks
+    # line are B-blocked and flip to A=1 (table C).  The walk also marks
     # the B-routed block itself; its own bit is corrected below.
     for blk in asg.placed_b:
-        base = (blk.s - 1) * g * g
-        for x, y in points_on_line(p, line_of(blk)):
-            pos = base + y * g + x
+        for pos in line_blocks(p, line_of(blk)):
             a[pos >> 3] |= 1 << (pos & 7)
     offsets = line_offsets(b)
     for blk in asg.placed_b:

@@ -38,6 +38,12 @@ from .geometry import BlockAddr, LineRef, Params, line_ordinal, validate_block
 MAGIC = b"BP42"
 FORMAT_VERSION = 1
 
+# Largest structure the package allocates: 2**30 table bits (128 MiB), b <= 53.
+MAX_STRUCTURE_BITS = 1 << 30
+
+# Maps each nonzero byte to 1, so `find` skips zero bytes at C speed.
+_NONZERO = bytes([0] + [1] * 255)
+
 
 class ParseError(ValueError):
     """Base class for serialization format violations."""
@@ -98,13 +104,15 @@ class BitTable:
         self.data[pos >> 3] ^= 1 << (pos & 7)
 
     def ones(self) -> Iterator[int]:
-        """Positions of set bits, ascending."""
-        for pos in range(self.nbits):
-            if (self.data[pos >> 3] >> (pos & 7)) & 1:
-                yield pos
-
-    def copy(self) -> "BitTable":
-        return BitTable(self.nbits, bytearray(self.data))
+        """Positions of set bits, ascending; zero bytes are skipped at C speed."""
+        data = self.data
+        flags = data.translate(_NONZERO)
+        k = flags.find(1)
+        while k >= 0:
+            for j in range(8):
+                if data[k] >> j & 1 and k * 8 + j < self.nbits:
+                    yield k * 8 + j
+            k = flags.find(1, k + 1)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitTable):
@@ -184,27 +192,30 @@ class Structure:
 
     @classmethod
     def empty(cls, p: Params) -> "Structure":
-        """All-zero structure, the encoding of the empty set."""
+        """All-zero structure, the encoding of the empty set; ValueError,
+        before allocating, above MAX_STRUCTURE_BITS."""
+        bits = size_a(p) + size_b(p) + size_c(p)
+        if bits > MAX_STRUCTURE_BITS:
+            raise ValueError(
+                f"b={p.b} needs {bits} table bits, over the limit of "
+                f"{MAX_STRUCTURE_BITS} (b <= 53)"
+            )
         return cls(p, BitTable(size_a(p)), BitTable(size_b(p)), BitTable(size_c(p)))
 
     def total_bits(self) -> int:
         return self.table_a.nbits + self.table_b.nbits + self.table_c.nbits
 
-    def copy(self) -> "Structure":
-        return Structure(
-            self.params, self.table_a.copy(), self.table_b.copy(), self.table_c.copy()
-        )
-
 
 def serialize(st: Structure) -> bytes:
-    """Encode st in the canonical byte format; deterministic per structure."""
-    out = bytearray(MAGIC)
-    out.append(FORMAT_VERSION)
-    out += st.params.b.to_bytes(8, "little")
+    """Encode st in the canonical byte format; deterministic per structure.
+
+    Joined in one allocation of the final size: growing a bytearray and
+    copying it out doubles a write's transient memory at large b.
+    """
+    parts = [MAGIC, bytes([FORMAT_VERSION]), st.params.b.to_bytes(8, "little")]
     for table in (st.table_a, st.table_b, st.table_c):
-        out += table.nbits.to_bytes(8, "little")
-        out += table.data
-    return bytes(out)
+        parts += (table.nbits.to_bytes(8, "little"), table.data)
+    return b"".join(parts)
 
 
 def _take(blob: bytes, pos: int, count: int, what: str) -> tuple[bytes, int]:
@@ -231,6 +242,7 @@ def deserialize(blob: bytes) -> Structure:
     if b < 2:
         raise ParseError(f"parameter b must be >= 2, got {b}")
     p = Params(b)
+    view = memoryview(blob)  # payload slices then copy once, into the tables
     tables = []
     for name, expect in (("A", size_a(p)), ("B", size_b(p)), ("C", size_c(p))):
         raw_len, pos = _take(blob, pos, 8, f"table {name} bit length")
@@ -239,7 +251,7 @@ def deserialize(blob: bytes) -> Structure:
             raise LengthMismatchError(
                 f"table {name} declares {nbits} bits, expected {expect} for b={b}"
             )
-        payload, pos = _take(blob, pos, (nbits + 7) // 8, f"table {name} payload")
+        payload, pos = _take(view, pos, (nbits + 7) // 8, f"table {name} payload")
         if nbits % 8 and payload[-1] >> (nbits % 8):
             raise LengthMismatchError(
                 f"table {name} has nonzero padding bits beyond bit {nbits}"

@@ -11,6 +11,7 @@ from bitprobe4.geometry import (
     anchor_bounds,
     element_from_ordinal,
     element_to_ordinal,
+    line_blocks,
     line_of,
     line_ordinal,
     lines_of_superblock,
@@ -136,6 +137,17 @@ class TestPointsOnLine:
         for s in range(1, b + 1):
             for l in lines_of_superblock(p, s):
                 assert points_on_line(p, l) == grid_points_on_line(p, l)
+
+    @pytest.mark.parametrize("b", [2, 3, 4])
+    def test_line_blocks_are_the_points_block_ordinals(self, b):
+        p = Params(b)
+        g = p.grid_side
+        for s in range(1, b + 1):
+            for l in lines_of_superblock(p, s):
+                ordinals = [((s - 1) * g + y) * g + x for x, y in points_on_line(p, l)]
+                assert list(line_blocks(p, l)) == ordinals
+        with pytest.raises(ValueError):
+            line_blocks(p, LineRef(1, g))
 
 
 class TestNumLines:

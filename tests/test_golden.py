@@ -13,8 +13,16 @@ import hashlib
 
 import pytest
 
+from bitprobe4 import oracle, scheme
 from bitprobe4.geometry import Params, element_from_ordinal
-from bitprobe4.oracle import _draw_nonmembers, check_membership, draw_subset
+from bitprobe4.oracle import (
+    _draw_nonmembers,
+    audit_bit_flips,
+    check_membership,
+    draw_subset,
+    verify_exhaustive,
+    verify_random,
+)
 from bitprobe4.scheme import build_from_ordinals, query
 from bitprobe4.tables import serialize
 
@@ -127,3 +135,79 @@ def test_serialized_bytes_are_frozen(b):
     for t in range(count):
         h.update(serialize(build_from_ordinals(p, draw_subset(5, t, t % 5, p.universe_size))))
     assert h.hexdigest() == expected
+
+
+# Failure evidence of deliberately broken builds: sha256 over
+# repr((failures_total, [(subset, element, expected, got, trace), ...])).
+# Recorded from the element-by-element sweep kernel, so they pin that
+# verification reports the same wrong answers, in the same order, with
+# the same probe traces.
+
+
+def evidence_digest(report) -> str:
+    evidence = (
+        report.failures_total,
+        [(f.subset, f.element, f.expected, f.got, f.trace) for f in report.failures],
+    )
+    return hashlib.sha256(repr(evidence).encode()).hexdigest()
+
+
+def fill_with_extra_bits(fill):
+    """`_fill_tables` plus one extra B bit and one extra C bit, at
+    positions derived from the stored blocks (so any order of calls and
+    any worker count sets the same bits)."""
+
+    def filled(p, grouped, asg):
+        st = fill(p, grouped, asg)
+        key = 1 + sum(
+            (s * 7 + x * 13 + y * 17) * (1 + sum(idx)) for (s, x, y), idx in grouped.items()
+        )
+        for table, mult in ((st.table_b, 2654435761), (st.table_c, 40503)):
+            pos = key * mult % table.nbits
+            table.data[pos >> 3] |= 1 << (pos & 7)
+        return st
+
+    return filled
+
+
+# b -> (trials, failures_total, evidence digest); seed 1, failure cap 10,000.
+EXTRA_BIT_EVIDENCE = {
+    3: (200, 668, "9618e0767240f76ae6b84c5a8ea1ecc50c32354537302ad291f55ebb672fa74f"),
+    5: (40, 195, "768480ddbb948d1af5219215cedf48c06bdc8dfd67157df362ace32af6a6bd53"),
+    8: (40, 21, "c7a3422030989ecd859776b499cdf59543afecfae16009360f526fd6989e119a"),
+}
+
+
+@pytest.mark.parametrize("b", sorted(EXTRA_BIT_EVIDENCE))
+def test_extra_bit_failures_are_frozen(b, monkeypatch):
+    monkeypatch.setattr(oracle, "_fill_tables", fill_with_extra_bits(oracle._fill_tables))
+    trials, total, digest = EXTRA_BIT_EVIDENCE[b]
+    report = verify_random(b, trials, seed=1, failure_cap=10_000)
+    assert (report.failures_total, evidence_digest(report)) == (total, digest)
+
+
+def routing_valid_without_rule_4(p, non_empty, to_b, to_c):
+    """`scheme._routing_valid` with rule 4 (no doubly blocked empty block)
+    removed."""
+    lines_b = [(blk.s, blk.x - blk.s * blk.y) for blk in to_b]
+    coords_c = [(blk.x, blk.y) for blk in to_c]
+    return len(set(lines_b)) == len(lines_b) and len(set(coords_c)) == len(coords_c)
+
+
+def test_rule_4_failures_are_frozen(monkeypatch):
+    monkeypatch.setattr(scheme, "_routing_valid", routing_valid_without_rule_4)
+    report = verify_exhaustive(2, max_n=3, jobs=2, failure_cap=10_000)
+    assert (report.failures_total, evidence_digest(report)) == (
+        208,
+        "363ce92f5abeb9a2f013c722d1dd0f848669f13d8b569601bc3643157ffad901",
+    )
+
+
+def test_flip_audit_is_frozen():
+    r = audit_bit_flips(3, 3, 0)
+    key = (r.b, r.structures, r.flips, r.detected, r.harmless, r.harmless_examples)
+    assert (r.flips, r.harmless) == (2133, 1385)
+    assert (
+        hashlib.sha256(repr(key).encode()).hexdigest()
+        == "c354c5c2f3f82fd3e7a7db597887a9904fa3f63339fc7f95946819d5620ad25f"
+    )

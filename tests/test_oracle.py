@@ -3,7 +3,7 @@ import math
 import pytest
 
 from bitprobe4 import oracle
-from bitprobe4.geometry import Params
+from bitprobe4.geometry import Params, element_from_ordinal
 from bitprobe4.oracle import (
     FeasibilityError,
     audit_bit_flips,
@@ -13,8 +13,9 @@ from bitprobe4.oracle import (
     splitmix64_stream,
     verify_exhaustive,
     verify_random,
+    yes_set,
 )
-from bitprobe4.scheme import CaseLabel, build_from_ordinals
+from bitprobe4.scheme import CaseLabel, build_from_ordinals, query
 
 
 def report_key(report):
@@ -59,6 +60,57 @@ class TestCheckMembership:
         res = check_membership(st, [], cap=5)
         assert len(res.failures) == 5
         assert res.failures_total > 5
+
+
+class TestYesSet:
+    @pytest.mark.parametrize("b", [2, 3])
+    @pytest.mark.parametrize("full", [True, False])
+    def test_dense_tables(self, b, full):
+        # A bits seeded at random; B and C bits all set (every answer is
+        # YES) or seeded at random (A decides which of them is read)
+        p = Params(b)
+        st = build_from_ordinals(p, [])
+        stream = splitmix64_stream(b)
+        for table in (st.table_a, st.table_b, st.table_c):
+            for pos in range(table.nbits):
+                table[pos] = 1 if full and table is not st.table_a else next(stream) & 1
+        expected = {
+            n for n in range(p.universe_size) if query(st, element_from_ordinal(p, n))[0]
+        }
+        assert len(expected) == p.universe_size if full else 0 < len(expected) < p.universe_size
+        assert yes_set(st) == expected
+
+
+class TestLazySample:
+    def test_clean_run_draws_no_nonmembers(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("non-members drawn for a clean structure")
+
+        monkeypatch.setattr(oracle, "_draw_nonmembers", refuse)
+        report = verify_random(8, trials=20, seed=4)
+        assert report.verdict == "PASS"
+        assert report.queries_checked == 20 * (4 + oracle.NONMEMBER_PROBES)
+
+    @pytest.mark.parametrize("wrong", ["false_positive", "false_negative"])
+    def test_draws_only_to_locate_a_false_positive(self, monkeypatch, wrong):
+        p = Params(5)
+        m = p.universe_size
+        combo = draw_subset(2, 0, 4, m)
+        sample = oracle._Sample(combo, 2, 0, m)
+        eager = list(sample)
+        assert len(eager) == len(sample) == 4 + oracle.NONMEMBER_PROBES
+        st = build_from_ordinals(p, combo)
+        target = eager[-1] if wrong == "false_positive" else combo[1]
+        _, (name, pos, _) = query(st, element_from_ordinal(p, target))[1]
+        {"B": st.table_b, "C": st.table_c}[name].flip(pos)
+
+        calls = []
+        draw = oracle._draw_nonmembers
+        monkeypatch.setattr(oracle, "_draw_nonmembers", lambda *a: calls.append(a) or draw(*a))
+        lazy = check_membership(st, combo, sample, cap=None)
+        assert len(calls) == (wrong == "false_positive")
+        assert lazy == check_membership(st, combo, eager, cap=None)
+        assert target in [f.element for f in lazy.failures]
 
 
 class TestRunTasks:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -152,6 +154,16 @@ class TestAssignBlocks:
 
 
 class TestBuild:
+    def test_oversized_structure_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="over the limit"):
+                build(Params(64), [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_empty_subset_all_zero(self):
         st_ = build(Params(2), [])
         assert list(st_.table_a.ones()) == []

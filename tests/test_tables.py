@@ -70,6 +70,13 @@ class TestBitTable:
             t[pos] = 1
         assert set(t.ones()) == positions
 
+    @given(st.binary(min_size=1, max_size=40), st.integers(0, 7))
+    def test_ones_matches_bitwise_reading(self, raw, short):
+        # padding bits beyond nbits are never reported
+        t = BitTable(len(raw) * 8 - short, bytearray(raw))
+        expected = [k for k in range(t.nbits) if raw[k >> 3] >> (k & 7) & 1]
+        assert list(t.ones()) == expected
+
 
 class TestSizes:
     @pytest.mark.parametrize("b,expected", [(2, 34), (3, 225), (4, 856)])
