@@ -36,10 +36,7 @@ def cmd_build(args: argparse.Namespace) -> int:
             f"note: universe padded to m={p.universe_size} (b={p.b}) "
             f"for requested m={args.m}"
         )
-    subset = _parse_subset(args.set)
-    for n in subset:
-        element_from_ordinal(p, n)  # range check before building
-    st = build_from_ordinals(p, subset)
+    st = build_from_ordinals(p, _parse_subset(args.set))  # range-checks first
     blob = serialize(st)
     with open(args.out, "wb") as fh:
         fh.write(blob)

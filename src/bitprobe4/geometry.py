@@ -27,8 +27,12 @@ and lines from different superblocks intersect in at most one point.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, NamedTuple
+
+_new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 
 
 class BlockAddr(NamedTuple):
@@ -53,9 +57,88 @@ class LineRef(NamedTuple):
     anchor: int
 
 
+class _lazy:
+    """An attribute computed on first read, then kept as a plain instance
+    attribute: `cached_property` writes `__dict__` directly, which slows
+    every later attribute read of the instance."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __get__(self, obj, cls=None):
+        object.__setattr__(obj, self.fn.__name__, value := self.fn(obj))
+        return value
+
+
+class Layout:
+    """The constants of one b and the one home of the bit positions of
+    tables A, B and C (formulas in `tables.py`) and of their inverses.
+    Shared per b through `layout`.  Inputs are not validated: `tables`'
+    `a_index`, `b_index` and `c_index` are the checked forms.
+    """
+
+    def __init__(self, b: int):
+        self.b = b
+        self.g = g = b * b  # grid side
+        self.b4 = g * g
+        self.b5 = self.b4 * b
+        self.m = self.b5 * b
+
+    @_lazy
+    def b_offsets(self) -> tuple[int, ...]:
+        """b_offset(1), ..., b_offset(b + 1), built on first read."""
+        return tuple(self.b_offset(s) for s in range(1, self.b + 2))
+
+    def b_offset(self, s: int) -> int:
+        """Start of superblock s's line slots in B (s = b + 1 gives |B|)."""
+        return self.b * ((self.g - 1) * (s - 1) * (s + 2) // 2 + s - 1)
+
+    def a_pos(self, s: int, x: int, y: int) -> int:
+        """A(s, x, y), which is also the block's ordinal n // b."""
+        return (s - 1) * self.b4 + y * self.g + x
+
+    def b_slot(self, s: int, anchor: int) -> int:
+        """B(line, 0) of line (s, anchor); B(line, i) is i bits further."""
+        return self.b_offsets[s - 1] + (anchor + s * (self.g - 1)) * self.b
+
+    def c_pos(self, x: int, y: int, i: int) -> int:
+        return (y * self.g + x) * self.b + i
+
+    def line_blocks(self, s: int, anchor: int) -> range:
+        """A positions of the blocks on line (s, anchor), by increasing y.
+
+        The grid points are the integer solutions of x = anchor + s*y inside
+        [0, b**2)^2, so the positions (s - 1)*b**4 + y*b**2 + x form the
+        progression (s - 1)*b**4 + anchor + y*(b**2 + s).
+        """
+        g = self.g
+        y_lo = max(0, -(anchor // s))
+        y_hi = min(g, (g - 1 - anchor) // s + 1)
+        base = (s - 1) * self.b4 + anchor
+        return range(base + y_lo * (g + s), base + y_hi * (g + s), g + s)
+
+    def b_line(self, pos: int) -> tuple[int, int, int]:
+        """Inverse of B: the line (s, anchor) and index i of B bit pos."""
+        s = bisect_right(self.b_offsets, pos)
+        line, i = divmod(pos - self.b_offsets[s - 1], self.b)
+        return s, line - s * (self.g - 1), i
+
+    def c_blocks(self, pos: int) -> tuple[range, int]:
+        """Inverse of C: the A positions of the blocks reading C bit pos,
+        one per superblock, and the index i they read it for."""
+        q, i = divmod(pos, self.b)
+        return range(q, self.b5, self.b4), i
+
+
+@lru_cache(maxsize=32)
+def layout(b: int) -> Layout:
+    """The Layout of b, built on first use; the 32 most recent are kept."""
+    return Layout(b)
+
+
 @dataclass(frozen=True)
 class Params:
-    """Scheme dimensions, all derived from the block size b.
+    """Scheme dimensions, all derived from the block size b via `layout`.
 
     b >= 2 is required; b = 1 collapses the grid to a single point and the
     superblock structure to a single block, which the scheme does not
@@ -69,31 +152,13 @@ class Params:
             raise TypeError(f"b must be an int, got {type(self.b).__name__}")
         if self.b < 2:
             raise ValueError(f"b must be >= 2, got {self.b}")
+        object.__setattr__(self, "layout", layout(self.b))  # b's shared Layout
 
-    @property
-    def grid_side(self) -> int:
-        """Side length of each superblock grid: b**2."""
-        return self.b * self.b
-
-    @property
-    def blocks_per_superblock(self) -> int:
-        """Blocks per superblock: b**4."""
-        return self.b**4
-
-    @property
-    def num_superblocks(self) -> int:
-        """Number of superblocks: b."""
-        return self.b
-
-    @property
-    def num_blocks(self) -> int:
-        """Total blocks in the universe: b**5."""
-        return self.b**5
-
-    @property
-    def universe_size(self) -> int:
-        """Number of universe elements: m = b**6."""
-        return self.b**6
+    grid_side = property(lambda self: self.layout.g, doc="Superblock grid side: b**2.")
+    blocks_per_superblock = property(lambda self: self.layout.b4, doc="Superblock blocks: b**4.")
+    num_superblocks = property(lambda self: self.b, doc="Number of superblocks: b.")
+    num_blocks = property(lambda self: self.layout.b5, doc="Blocks in the universe: b**5.")
+    universe_size = property(lambda self: self.layout.m, doc="Universe elements: m = b**6.")
 
     @classmethod
     def from_universe(cls, m: int) -> "Params":
@@ -118,23 +183,19 @@ class Params:
 
 def element_from_ordinal(p: Params, n: int) -> ElementAddr:
     """Decode flat ordinal n in [0, m) to its (s, x, y, i) address."""
-    m = p.universe_size
-    if not 0 <= n < m:
-        raise ValueError(f"ordinal {n} out of range [0, {m})")
-    b = p.b
-    g = b * b
-    q, i = divmod(n, b)
-    q, x = divmod(q, g)
-    sm1, y = divmod(q, g)
-    return ElementAddr(BlockAddr(sm1 + 1, x, y), i)
+    lay = p.layout
+    if not 0 <= n < lay.m:
+        raise ValueError(f"ordinal {n} out of range [0, {lay.m})")
+    q, i = divmod(n, lay.b)
+    q, x = divmod(q, lay.g)
+    sm1, y = divmod(q, lay.g)
+    return _new(ElementAddr, (_new(BlockAddr, (sm1 + 1, x, y)), i))
 
 
 def element_to_ordinal(p: Params, e: ElementAddr) -> int:
     """Encode an (s, x, y, i) address back to its flat ordinal."""
     validate_element(p, e)
-    g = p.grid_side
-    (s, x, y), i = e
-    return (((s - 1) * g + y) * g + x) * p.b + i
+    return p.layout.a_pos(*e.block) * p.b + e.i
 
 
 def validate_block(p: Params, blk: BlockAddr) -> None:
@@ -173,22 +234,11 @@ def anchor_bounds(p: Params, s: int) -> tuple[int, int]:
 
 def line_blocks(p: Params, l: LineRef) -> range:
     """Block ordinals n // b (also their table-A positions) of the blocks on
-    line l, ordered by increasing y.
-
-    The grid points are the integer solutions of x = anchor + s*y inside
-    [0, grid_side)^2, so the ordinals (s - 1)*b**4 + y*b**2 + x form the
-    progression (s - 1)*b**4 + anchor + y*(b**2 + s); every in-range
+    line l, ordered by increasing y (`Layout.line_blocks`); every in-range
     anchor yields at least one.
     """
-    s, a = l
-    lo_a, hi_a = anchor_bounds(p, s)
-    if not lo_a <= a < hi_a:
-        raise ValueError(f"anchor {a} out of range [{lo_a}, {hi_a})")
-    g = p.grid_side
-    y_lo = max(0, -(a // s))
-    y_hi = min(g, (g - 1 - a) // s + 1)
-    base = (s - 1) * g * g + a
-    return range(base + y_lo * (g + s), base + y_hi * (g + s), g + s)
+    line_ordinal(p, l)  # validates the line
+    return p.layout.line_blocks(*l)
 
 
 def points_on_line(p: Params, l: LineRef) -> list[tuple[int, int]]:
@@ -199,9 +249,8 @@ def points_on_line(p: Params, l: LineRef) -> list[tuple[int, int]]:
 
 def num_lines(p: Params, s: int) -> int:
     """Number of lines covering superblock s: (s + 1)*(b**2 - 1) + 1."""
-    if not 1 <= s <= p.b:
-        raise ValueError(f"superblock {s} out of range [1, {p.b}]")
-    return (s + 1) * (p.grid_side - 1) + 1
+    lo, hi = anchor_bounds(p, s)
+    return hi - lo
 
 
 def line_ordinal(p: Params, l: LineRef) -> int:

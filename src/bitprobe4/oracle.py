@@ -19,12 +19,11 @@ import math
 import multiprocessing
 import os
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .geometry import LineRef, Params, element_from_ordinal, line_blocks
+from .geometry import Params, element_from_ordinal
 from .scheme import (
     CaseLabel,
     MAX_MEMBERS,
@@ -35,7 +34,7 @@ from .scheme import (
     group_members,
     query,
 )
-from .tables import Structure, line_offsets
+from .tables import Structure, size_a, size_b, size_c
 
 # Full-universe checking is the default up to this b; above it, random
 # verification probes the members plus a seeded non-member sample.
@@ -122,21 +121,21 @@ def yes_set(st: Structure) -> set[int]:
 
     A 1 bit of C at c is read by the elements (s - 1)*b**5 + c whose A bit
     is 1; a 1 bit of B at index i of a line's slot is read by index i of
-    each block on that line whose A bit is 0 (layout in `tables.py`).
+    each block on that line whose A bit is 0 (`geometry.Layout` inverts
+    both).
     """
-    p = st.params
-    b = p.b
+    lay = st.params.layout
+    b = lay.b
     ta = st.table_a.data
     yes: set[int] = set()
     for c in st.table_c.ones():
-        for a in range(c // b, p.num_blocks, p.blocks_per_superblock):
+        blocks, i = lay.c_blocks(c)
+        for a in blocks:
             if ta[a >> 3] >> (a & 7) & 1:
-                yes.add(a * b + c % b)
-    offsets = line_offsets(b)
+                yes.add(a * b + i)
     for pos in st.table_b.ones():
-        s = bisect_right(offsets, pos)
-        line, i = divmod(pos - offsets[s - 1], b)
-        for a in line_blocks(p, LineRef(s, line - s * (p.grid_side - 1))):
+        s, anchor, i = lay.b_line(pos)
+        for a in lay.line_blocks(s, anchor):
             if not ta[a >> 3] >> (a & 7) & 1:
                 yes.add(a * b + i)
     return yes
@@ -279,24 +278,14 @@ def _draw_nonmembers(seed: int, trial: int, count: int, m: int, members: frozens
 # Verification drivers.
 
 
-def _merge(
-    b: int, partials: Iterable[tuple], cap: int, elapsed: float
-) -> VerifyReport:
-    subsets = queries = failures_total = violations = 0
-    failures: list[Failure] = []
-    hist = [0] * len(_CASE_ORDER)
-    for p_subsets, p_queries, p_failures, p_total, p_hist, p_viol in partials:
-        subsets += p_subsets
-        queries += p_queries
-        failures_total += p_total
-        violations += p_viol
-        for k, count in enumerate(p_hist):
-            hist[k] += count
-        if len(failures) < cap:
-            failures.extend(p_failures[: cap - len(failures)])
-    histogram = {label: hist[k] for k, label in enumerate(_CASE_ORDER)}
+def _merge(b: int, partials: list[tuple], cap: int, elapsed: float) -> VerifyReport:
+    """Sum the partial reports of `_check_subsets` in order, keeping the
+    first `cap` failures."""
+    subsets, queries, fails, totals, hists, viols = zip(*partials)
+    failures = list(islice(chain.from_iterable(fails), cap))
+    histogram = dict(zip(_CASE_ORDER, map(sum, zip(*hists))))
     return VerifyReport(
-        b, subsets, queries, failures, failures_total, histogram, violations, elapsed
+        b, sum(subsets), sum(queries), failures, sum(totals), histogram, sum(viols), elapsed
     )
 
 
@@ -343,8 +332,7 @@ def _random_chunk(task: tuple[int, int, int, int, int, int]) -> tuple:
 
 def _run_tasks(worker, tasks: list, jobs: int) -> list:
     """Map worker over tasks on at most min(jobs, tasks, CPUs) processes."""
-    jobs = min(jobs, len(tasks), os.cpu_count() or 1)
-    if jobs > 1:
+    if jobs > 1 and (jobs := min(jobs, len(tasks), os.cpu_count() or 1)) > 1:
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:
@@ -442,8 +430,6 @@ class SpaceRow(NamedTuple):
 
 def space_audit(b_values: Iterable[int]) -> list[SpaceRow]:
     """Exact table sizes and the total/b**5 ratio for each b."""
-    from .tables import size_a, size_b, size_c
-
     rows = []
     for b in b_values:
         p = Params(b)

@@ -29,15 +29,9 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple
 
-from .geometry import (
-    BlockAddr,
-    ElementAddr,
-    Params,
-    line_blocks,
-    line_of,
-    validate_element,
-)
-from .tables import Structure, line_offsets
+from .geometry import BlockAddr, ElementAddr, Params, element_from_ordinal, line_of
+from .geometry import validate_element
+from .tables import Structure
 
 MAX_MEMBERS = 4
 
@@ -94,15 +88,13 @@ def group_members(p: Params, members: Iterable[ElementAddr]) -> dict[BlockAddr, 
     after deduplication.
     """
     grouped: dict[BlockAddr, set[int]] = {}
-    total = 0
     seen: set[ElementAddr] = set()
     for e in members:
         validate_element(p, e)
         if e in seen:
             continue
         seen.add(e)
-        total += 1
-        if total > MAX_MEMBERS:
+        if len(seen) > MAX_MEMBERS:
             raise CapacityError(
                 f"subset has more than {MAX_MEMBERS} distinct elements"
             )
@@ -180,33 +172,31 @@ def _fill_tables(
     """Set every bit implied by a routing of the grouped members.
 
     Bits are written straight into the tables' bytes at the positions of
-    the layout in `tables.py`.
+    `geometry.Layout`.
     """
     st = Structure.empty(p)
-    b = p.b
-    g = b * b
+    lay = p.layout
     a, tb, tc = st.table_a.data, st.table_b.data, st.table_c.data
     # Empty blocks default to A=0 (table B); blocks on a B-routed block's
     # line are B-blocked and flip to A=1 (table C).  The walk also marks
-    # the B-routed block itself; its own bit is corrected below.
-    for blk in asg.placed_b:
-        for pos in line_blocks(p, line_of(blk)):
-            a[pos >> 3] |= 1 << (pos & 7)
-    offsets = line_offsets(b)
+    # the B-routed block itself, whose own bit is cleared next; no other
+    # B-routed block's walk reaches it (rule 2).
     for blk in asg.placed_b:
         s, x, y = blk
-        pos = (s - 1) * g * g + y * g + x
+        for pos in lay.line_blocks(s, x - s * y):
+            a[pos >> 3] |= 1 << (pos & 7)
+        pos = lay.a_pos(s, x, y)
         a[pos >> 3] &= ~(1 << (pos & 7))
-        line_base = offsets[s - 1] + (x - s * y + s * (g - 1)) * b
+        slot = lay.b_slot(s, x - s * y)
         for i in grouped[blk]:
-            pos = line_base + i
+            pos = slot + i
             tb[pos >> 3] |= 1 << (pos & 7)
     for blk in asg.placed_c:
         s, x, y = blk
-        pos = (s - 1) * g * g + y * g + x
+        pos = lay.a_pos(s, x, y)
         a[pos >> 3] |= 1 << (pos & 7)
         for i in grouped[blk]:
-            pos = (y * g + x) * b + i
+            pos = lay.c_pos(x, y, i)
             tc[pos >> 3] |= 1 << (pos & 7)
     return st
 
@@ -223,8 +213,6 @@ def build(p: Params, members: Iterable[ElementAddr]) -> Structure:
 
 def build_from_ordinals(p: Params, ordinals: Iterable[int]) -> Structure:
     """Build from flat element ordinals instead of addresses."""
-    from .geometry import element_from_ordinal
-
     return build(p, [element_from_ordinal(p, n) for n in ordinals])
 
 
@@ -232,21 +220,21 @@ def query(st: Structure, e: ElementAddr) -> tuple[bool, ProbeTrace]:
     """Answer membership for e with exactly two bit probes.
 
     Returns the answer and the trace of both probes; the first probe is
-    always in table A, the second in B (A bit 0) or C (A bit 1).
+    always in table A, the second in B (A bit 0) or C (A bit 1).  The
+    positions are `geometry.Layout`'s, inlined.
     """
-    p = st.params
-    b = p.b
-    g = b * b
+    lay = st.params.layout
+    b, g = lay.b, lay.g
     (s, x, y), i = e
     if not (1 <= s <= b and 0 <= x < g and 0 <= y < g and 0 <= i < b):
-        validate_element(p, e)  # raises with the precise bound
-    a_pos = (s - 1) * g * g + y * g + x
+        validate_element(st.params, e)  # raises with the precise bound
+    a_pos = (s - 1) * lay.b4 + y * g + x
     a_bit = st.table_a.data[a_pos >> 3] >> (a_pos & 7) & 1
     if a_bit:
         pos = (y * g + x) * b + i
         bit = st.table_c.data[pos >> 3] >> (pos & 7) & 1
         return bool(bit), (("A", a_pos, 1), ("C", pos, bit))
-    pos = line_offsets(b)[s - 1] + (x - s * y + s * (g - 1)) * b + i
+    pos = lay.b_offsets[s - 1] + (x - s * y + s * (g - 1)) * b + i
     bit = st.table_b.data[pos >> 3] >> (pos & 7) & 1
     return bool(bit), (("A", a_pos, 0), ("B", pos, bit))
 

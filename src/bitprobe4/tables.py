@@ -10,7 +10,7 @@ for every grid coordinate, shared by all superblocks.  Exact sizes:
         = b * ((b**2 - 1) * b * (b + 3) // 2 + b)
     |C| = b**4 * b = b**5
 
-Bit positions:
+Bit positions (their one home is `geometry.Layout`, which also inverts them):
 
     A(s, x, y)    = (s - 1) * b**4 + y * b**2 + x
     B(line, i)    = offset(s) + line_ordinal(line) * b + i
@@ -30,10 +30,10 @@ sections; trailing bytes are an error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
-from .geometry import BlockAddr, LineRef, Params, line_ordinal, validate_block
+from .geometry import BlockAddr, ElementAddr, LineRef, Params, line_ordinal
+from .geometry import validate_block, validate_element
 
 MAGIC = b"BP42"
 FORMAT_VERSION = 1
@@ -123,31 +123,12 @@ class BitTable:
         return f"BitTable(nbits={self.nbits}, ones={list(self.ones())!r})"
 
 
-def b_offset(b: int, s: int) -> int:
-    """Bit offset of superblock s's line slots in table B, in closed form.
-
-    Sums num_lines(j) * b over j < s; s = b + 1 gives |B|.  O(1) in b, so
-    a hostile header's b costs nothing to size.
-    """
-    return b * ((b * b - 1) * (s - 1) * (s + 2) // 2 + s - 1)
-
-
-@lru_cache(maxsize=32)
-def line_offsets(b: int) -> tuple[int, ...]:
-    """Per-superblock bit offsets into table B, plus the total as last entry.
-
-    offsets[s - 1] is where superblock s's line blocks start; offsets[b]
-    equals |B|.
-    """
-    return tuple(b_offset(b, s) for s in range(1, b + 2))
-
-
 def size_a(p: Params) -> int:
     return p.num_blocks
 
 
 def size_b(p: Params) -> int:
-    return b_offset(p.b, p.b + 1)
+    return p.layout.b_offset(p.b + 1)  # closed form: O(1) for a hostile b
 
 
 def size_c(p: Params) -> int:
@@ -157,14 +138,15 @@ def size_c(p: Params) -> int:
 def a_index(p: Params, blk: BlockAddr) -> int:
     """Bit position of blk's steering bit in table A."""
     validate_block(p, blk)
-    return (blk.s - 1) * p.blocks_per_superblock + blk.y * p.grid_side + blk.x
+    return p.layout.a_pos(*blk)
 
 
 def b_index(p: Params, l: LineRef, i: int) -> int:
     """Bit position of index i of line l's block in table B."""
     if not 0 <= i < p.b:
         raise ValueError(f"block index {i} out of range [0, {p.b})")
-    return line_offsets(p.b)[l.s - 1] + line_ordinal(p, l) * p.b + i
+    line_ordinal(p, l)  # validates the line
+    return p.layout.b_slot(*l) + i
 
 
 def c_index(p: Params, x: int, y: int, i: int) -> int:
@@ -173,12 +155,8 @@ def c_index(p: Params, x: int, y: int, i: int) -> int:
     Independent of the superblock: all superblocks share the coordinate's
     slot.
     """
-    g = p.grid_side
-    if not (0 <= x < g and 0 <= y < g):
-        raise ValueError(f"grid point ({x}, {y}) out of range [0, {g})^2")
-    if not 0 <= i < p.b:
-        raise ValueError(f"block index {i} out of range [0, {p.b})")
-    return (y * g + x) * p.b + i
+    validate_element(p, ElementAddr(BlockAddr(1, x, y), i))  # C is shared by all s
+    return p.layout.c_pos(x, y, i)
 
 
 @dataclass

@@ -140,6 +140,13 @@ class TestRunTasks:
         assert oracle._run_tasks(abs, [-1, -2], 1) == [1, 2]
         assert sizes == [3, 2]
 
+    def test_one_job_needs_no_cpu_count(self, monkeypatch):
+        def cpu_count():
+            raise AssertionError("os.cpu_count is only needed for jobs > 1")
+
+        monkeypatch.setattr(oracle.os, "cpu_count", cpu_count)
+        assert oracle._run_tasks(abs, [-1, -2], 1) == [1, 2]
+
 
 class TestVerifyExhaustive:
     def test_singletons(self):

@@ -20,7 +20,6 @@ from bitprobe4.tables import (
     b_index,
     c_index,
     deserialize,
-    line_offsets,
     serialize,
     size_a,
     size_b,
@@ -91,8 +90,8 @@ class TestSizes:
         assert size_a(p) == size_c(p) == b**5
 
     def test_offsets_cumulative(self):
-        offs = line_offsets(3)
         p = Params(3)
+        offs = p.layout.b_offsets
         assert offs[0] == 0
         for s in range(1, 4):
             assert offs[s] - offs[s - 1] == num_lines(p, s) * 3
