@@ -28,10 +28,10 @@ from .scheme import (
     CaseLabel,
     MAX_MEMBERS,
     ProbeTrace,
+    _assign_sorted,
+    _classify_sorted,
     _fill_tables,
-    assign_blocks,
-    classify,
-    group_members,
+    _group_ordinals,
     query,
 )
 from .tables import Structure, size_a, size_b, size_c
@@ -168,9 +168,9 @@ def check_membership(
 ) -> CheckResult:
     """Answer each probe with the two-probe rule and compare with membership.
 
-    `members` and `probes` are flat ordinals; probes=None checks the whole
-    universe in ascending order, a probe sequence is checked in its order,
-    duplicates included, and a probe outside [0, b**6) raises ValueError.
+    `members` and `probes` are flat ordinals, and one outside [0, b**6)
+    raises ValueError; probes=None checks the whole universe in ascending
+    order, a probe sequence is checked in its order, duplicates included.
     The wrong answers are `yes_set(st) ^ members`, so probes cost one set
     lookup each, and nothing when no answer is wrong.  They are recorded up
     to `cap` with `scheme.query`'s trace as evidence; `first_only` stops at
@@ -180,10 +180,12 @@ def check_membership(
     p = st.params
     m = p.universe_size
     mem = frozenset(members)
+    if mem and not (0 <= min(mem) and max(mem) < m):
+        raise ValueError(f"member ordinals must lie in [0, {m})")
     wrong = yes_set(st) ^ mem
     if probes is None:
         queries = m
-        hits: Iterable[int] = sorted(n for n in wrong if 0 <= n < m)
+        hits: Iterable[int] = sorted(wrong)
     else:
         queries = len(probes)
         if isinstance(probes, _Sample):
@@ -229,36 +231,21 @@ def splitmix64_stream(seed: int) -> Iterator[int]:
         yield _mix64(state)
 
 
-def _trial_stream(seed: int, trial: int, salt: int = 0) -> Iterator[int]:
-    """Independent stream for one trial, derived from (seed, trial, salt)."""
-    return splitmix64_stream(_mix64(((seed + trial * _GOLDEN) ^ salt) & _MASK64))
-
-
-def _draw_below(stream: Iterator[int], bound: int) -> int:
-    """Uniform draw in [0, bound) by rejection, bias-free."""
-    limit = (1 << 64) - (1 << 64) % bound
-    while True:
-        v = next(stream)
-        if v < limit:
-            return v % bound
-
-
 def draw_subset(seed: int, trial: int, n: int, m: int) -> tuple[int, ...]:
     """The trial-th seeded uniform n-subset of [0, m), sorted."""
-    stream = _trial_stream(seed, trial)
-    chosen: set[int] = set()
-    while len(chosen) < n:
-        chosen.add(_draw_below(stream, m))
-    return tuple(sorted(chosen))
+    return tuple(sorted(_draw_distinct(seed, trial, 0, n, m, ())))
 
 
 def _draw_nonmembers(seed: int, trial: int, count: int, m: int, members: frozenset[int]) -> list[int]:
-    """`count` distinct seeded non-members of [0, m), sorted.
+    """`count` distinct seeded non-members of [0, m), sorted."""
+    return sorted(_draw_distinct(seed, trial, _NONMEMBER_SALT, count, m, members))
 
-    The draws of `_draw_below` on `_trial_stream(seed, trial,
-    _NONMEMBER_SALT)`, with the generator inlined into one loop.
-    """
-    state = _mix64(((seed + trial * _GOLDEN) ^ _NONMEMBER_SALT) & _MASK64)
+
+def _draw_distinct(seed: int, trial: int, salt: int, count: int, m: int, exclude) -> set[int]:
+    """`count` distinct values of [0, m) outside `exclude`, drawn without bias
+    (by rejection) from one trial's `splitmix64_stream`, seeded with
+    _mix64((seed + trial*_GOLDEN) ^ salt) and inlined into the loop."""
+    state = _mix64(((seed + trial * _GOLDEN) ^ salt) & _MASK64)
     limit = (1 << 64) - (1 << 64) % m
     chosen: set[int] = set()
     add = chosen.add
@@ -269,9 +256,9 @@ def _draw_nonmembers(seed: int, trial: int, count: int, m: int, members: frozens
         z ^= z >> 31
         if z < limit:
             z %= m
-            if z not in members:
+            if z not in exclude:
                 add(z)
-    return sorted(chosen)
+    return chosen
 
 
 # ---------------------------------------------------------------------------
@@ -280,52 +267,56 @@ def _draw_nonmembers(seed: int, trial: int, count: int, m: int, members: frozens
 
 def _merge(b: int, partials: list[tuple], cap: int, elapsed: float) -> VerifyReport:
     """Sum the partial reports of `_check_subsets` in order, keeping the
-    first `cap` failures."""
-    subsets, queries, fails, totals, hists, viols = zip(*partials)
-    failures = list(islice(chain.from_iterable(fails), cap))
-    histogram = dict(zip(_CASE_ORDER, map(sum, zip(*hists))))
-    return VerifyReport(
-        b, sum(subsets), sum(queries), failures, sum(totals), histogram, sum(viols), elapsed
-    )
+    first `cap` failures (a single partial is taken as it is)."""
+    if len(partials) == 1:
+        subsets, queries, failures, total, hist = partials[0]
+    else:
+        subsets, queries, fails, totals, hists = zip(*partials)
+        subsets, queries, total = sum(subsets), sum(queries), sum(totals)
+        failures = list(islice(chain.from_iterable(fails), cap))
+        hist = map(sum, zip(*hists))
+    histogram = dict(zip(_CASE_ORDER, hist))
+    return VerifyReport(b, subsets, queries, failures, total, histogram, 0, elapsed)
 
 
 def _check_subsets(p: Params, cases: Iterable[tuple], cap: int) -> tuple:
-    """Build, classify and check each (subset, probes) case; probes=None
-    checks the whole universe.  Returns one partial report for `_merge`."""
+    """Build, classify and check each (subset, probes) case in one pass, its
+    blocks sorted once; probes=None checks the whole universe.  Only a YES set
+    that is not the members goes to `check_membership`.  Returns one partial
+    report for `_merge`."""
     hist = [0] * len(_CASE_ORDER)
     failures: list[Failure] = []
-    subsets = queries = failures_total = violations = 0
+    subsets = queries = failures_total = 0
+    m = p.universe_size
     for combo, probes in cases:
-        grouped = group_members(p, [element_from_ordinal(p, n) for n in combo])
+        grouped = _group_ordinals(p, combo)
         blocks = sorted(grouped)
-        hist[_CASE_INDEX[classify(p, blocks)]] += 1
-        st = _fill_tables(p, grouped, assign_blocks(p, blocks))
-        res = check_membership(st, combo, probes, cap)
+        hist[_CASE_INDEX[_classify_sorted(blocks)]] += 1
+        st = _fill_tables(p, grouped, _assign_sorted(p, blocks))
         subsets += 1
-        queries += res.queries
-        failures_total += res.failures_total
-        violations += res.trace_violations
-        if res.failures and len(failures) < cap:
-            failures.extend(res.failures[: cap - len(failures)])
-    return subsets, queries, failures, failures_total, hist, violations
+        queries += m if probes is None else len(probes)
+        if yes_set(st).symmetric_difference(combo):
+            res = check_membership(st, combo, probes, cap)
+            failures_total += res.failures_total
+            failures.extend(res.failures[: max(0, cap - len(failures))])
+    return subsets, queries, failures, failures_total, hist
 
 
-def _exhaustive_chunk(task: tuple[int, int, int, int, int]) -> tuple:
-    b, k, lo, hi, cap = task
-    p = Params(b)
+def _exhaustive_chunk(task: tuple[Params, int, int, int, int]) -> tuple:
+    p, k, lo, hi, cap = task
     combos = islice(combinations(range(p.universe_size), k), lo, hi)
     return _check_subsets(p, ((combo, None) for combo in combos), cap)
 
 
-def _random_chunk(task: tuple[int, int, int, int, int, int]) -> tuple:
-    b, n, seed, lo, hi, cap = task
-    p = Params(b)
+def _random_chunk(task: tuple[Params, int, int, int, int, int]) -> tuple:
+    p, n, seed, lo, hi, cap = task
     m = p.universe_size
+    full = p.b <= FULL_CHECK_MAX_B
 
     def cases():
         for t in range(lo, hi):
             combo = draw_subset(seed, t, n, m)
-            yield combo, None if b <= FULL_CHECK_MAX_B else _Sample(combo, seed, t, m)
+            yield combo, None if full else _Sample(combo, seed, t, m)
 
     return _check_subsets(p, cases(), cap)
 
@@ -376,7 +367,7 @@ def verify_exhaustive(
     for k in range(max_n + 1):
         count = math.comb(m, k)
         for lo in range(0, count, chunk):
-            tasks.append((b, k, lo, min(lo + chunk, count), failure_cap))
+            tasks.append((p, k, lo, min(lo + chunk, count), failure_cap))
     start = time.perf_counter()
     partials = _run_tasks(_exhaustive_chunk, tasks, jobs)
     return _merge(b, partials, failure_cap, time.perf_counter() - start)
@@ -407,7 +398,7 @@ def verify_random(
         raise ValueError("failure_cap must be >= 1")
     chunk = max(100, trials // (max(jobs, 1) * 8) + 1)
     tasks = [
-        (b, n, seed, lo, min(lo + chunk, trials), failure_cap)
+        (p, n, seed, lo, min(lo + chunk, trials), failure_cap)
         for lo in range(0, trials, chunk)
     ]
     start = time.perf_counter()
@@ -496,8 +487,7 @@ def audit_bit_flips(
     report = FlipAuditReport(b, structures, 0, 0, 0)
     start = time.perf_counter()
     for t in range(structures):
-        size_stream = _trial_stream(seed, t, _FLIP_SALT)
-        k = _draw_below(size_stream, MAX_MEMBERS + 1)
+        (k,) = _draw_distinct(seed, t, _FLIP_SALT, 1, MAX_MEMBERS + 1, ())
         subset = draw_subset(seed, t, k, m)
         st = build_from_ordinals(p, subset)
         mem = frozenset(subset)

@@ -27,10 +27,10 @@ two bits, the first always from table A.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .geometry import BlockAddr, ElementAddr, Params, element_from_ordinal, line_of
-from .geometry import validate_element
+from .geometry import _new, validate_element
 from .tables import Structure
 
 MAX_MEMBERS = 4
@@ -75,6 +75,9 @@ class CaseLabel(Enum):
     IVD = "IVD"
     FEWER_THAN_4_BLOCKS = "FEWER_THAN_4_BLOCKS"
 
+    # Singletons compared by identity; Enum's __hash__ hashes the name in Python.
+    __hash__ = object.__hash__
+
 
 class BlockedStatus(NamedTuple):
     b_blocked: bool
@@ -99,6 +102,26 @@ def group_members(p: Params, members: Iterable[ElementAddr]) -> dict[BlockAddr, 
                 f"subset has more than {MAX_MEMBERS} distinct elements"
             )
         grouped.setdefault(e.block, set()).add(e.i)
+    return grouped
+
+
+def _group_ordinals(p: Params, ordinals: Sequence[int]) -> dict[BlockAddr, set[int]]:
+    """`group_members` of the decoded ordinals, with the same ValueError and
+    CapacityError, but no element address built: one range check, then
+    `element_from_ordinal`'s arithmetic per distinct ordinal."""
+    b, g, m = p.b, p.layout.g, p.layout.m
+    if ordinals and not (0 <= min(ordinals) and max(ordinals) < m):
+        n = next(n for n in ordinals if not 0 <= n < m)
+        raise ValueError(f"ordinal {n} out of range [0, {m})")
+    distinct = set(ordinals)
+    if len(distinct) > MAX_MEMBERS:
+        raise CapacityError(f"subset has more than {MAX_MEMBERS} distinct elements")
+    grouped: dict[BlockAddr, set[int]] = {}
+    for n in distinct:
+        q, i = divmod(n, b)
+        q, x = divmod(q, g)
+        sm1, y = divmod(q, g)
+        grouped.setdefault(_new(BlockAddr, (sm1 + 1, x, y)), set()).add(i)
     return grouped
 
 
@@ -140,6 +163,17 @@ def _routing_valid(
     return True
 
 
+def _sorted_blocks(non_empty: Iterable[BlockAddr]) -> list[BlockAddr]:
+    """The blocks sorted by (s, x, y), checked distinct and at most
+    MAX_MEMBERS: the input of `_classify_sorted` and `_assign_sorted`."""
+    blocks = sorted(non_empty)
+    if len(set(blocks)) != len(blocks):
+        raise ValueError("non-empty blocks must be distinct")
+    if len(blocks) > MAX_MEMBERS:
+        raise CapacityError(f"more than {MAX_MEMBERS} non-empty blocks")
+    return blocks
+
+
 def assign_blocks(p: Params, non_empty: Iterable[BlockAddr]) -> Assignment:
     """Route each non-empty block to table B or C, deterministically.
 
@@ -148,12 +182,12 @@ def assign_blocks(p: Params, non_empty: Iterable[BlockAddr]) -> Assignment:
     routing wins, so equal block sets always produce equal assignments
     regardless of member counts inside the blocks.
     """
-    blocks = sorted(non_empty)
+    return _assign_sorted(p, _sorted_blocks(non_empty))
+
+
+def _assign_sorted(p: Params, blocks: list[BlockAddr]) -> Assignment:
+    """`assign_blocks` of blocks already in `_sorted_blocks` form."""
     n = len(blocks)
-    if len(set(blocks)) != n:
-        raise ValueError("non-empty blocks must be distinct")
-    if n > MAX_MEMBERS:
-        raise CapacityError(f"more than {MAX_MEMBERS} non-empty blocks")
     block_set = frozenset(blocks)
     for k in range(1 << n):
         to_b = [blocks[j] for j in range(n) if not k >> j & 1]
@@ -245,17 +279,17 @@ def classify(p: Params, non_empty: Iterable[BlockAddr]) -> CaseLabel:
     A function of the blocks' lines and coordinates only; configurations
     with fewer than four blocks all share one label.
     """
-    blocks = sorted(non_empty)
-    if len(set(blocks)) != len(blocks):
-        raise ValueError("non-empty blocks must be distinct")
-    if len(blocks) > MAX_MEMBERS:
-        raise CapacityError(f"more than {MAX_MEMBERS} non-empty blocks")
+    return _classify_sorted(_sorted_blocks(non_empty))
+
+
+def _classify_sorted(blocks: list[BlockAddr]) -> CaseLabel:
+    """`classify` of blocks already in `_sorted_blocks` form."""
     if len(blocks) < 4:
         return CaseLabel.FEWER_THAN_4_BLOCKS
 
-    lines = [line_of(blk) for blk in blocks]
     line_count: dict[tuple[int, int], int] = {}
-    for ln in lines:
+    for s, x, y in blocks:
+        ln = (s, x - s * y)
         line_count[ln] = line_count.get(ln, 0) + 1
     distinct = len(line_count)
     if distinct == 4:

@@ -1,7 +1,8 @@
 """Acceptance suite: every criterion prints one PASS/FAIL line.
 
 Run with `pytest -s tests/test_acceptance.py` to watch the lines appear;
-the two big verification runs take a couple of minutes each on one core.
+on 2 cores the exhaustive b=2 run takes about 20 s with both cores and the
+randomized b=3/4 run about 4 s.
 """
 
 import os

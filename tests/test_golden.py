@@ -6,7 +6,9 @@ tables A, B and C flipped.  A flipped B or C bit must change the kernel's
 answer for exactly the elements whose second probe reads that bit, which
 pins the kernel's probe positions to the ones `query` reports.  The
 digests below were recorded from the implementation that answered every
-element through `query`.
+element through `query`, except the clean-run report digests, which were
+recorded from the verifier that built each subset through the public
+`group_members`, `classify` and `assign_blocks`.
 """
 
 import hashlib
@@ -210,4 +212,49 @@ def test_flip_audit_is_frozen():
     assert (
         hashlib.sha256(repr(key).encode()).hexdigest()
         == "c354c5c2f3f82fd3e7a7db597887a9904fa3f63339fc7f95946819d5620ad25f"
+    )
+
+
+# Reports of clean runs: sha256 over repr of every deterministic field
+# (all but `elapsed`), so the counts, the case histogram and the absence of
+# failures are pinned at fixed seeds for one and two workers.
+def report_digest(r) -> str:
+    key = (
+        r.b,
+        r.subsets_checked,
+        r.queries_checked,
+        r.failures,
+        r.failures_total,
+        r.case_histogram,
+        r.trace_violations,
+    )
+    return hashlib.sha256(repr(key).encode()).hexdigest()
+
+
+# (b, trials) -> digest of verify_random(b, trials, seed=1).
+CLEAN_RANDOM_DIGESTS = {
+    (2, 2000): "f0b8f7b3081f82edeffc00d8887533c9f44faae8733b182aa879efc869d21416",
+    (3, 300): "4355a1f4b87dd18d84a873886c4770d8be9fe1e30f35929c91b23ee2eb4d63a2",
+    (8, 200): "0501b38f0cf023d5b84cf3cf813015659f75d2d57bc6833e4d90be126a187b79",
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("b,trials", sorted(CLEAN_RANDOM_DIGESTS))
+def test_clean_random_reports_are_frozen(b, trials, jobs):
+    report = verify_random(b, trials, seed=1, jobs=jobs)
+    assert report.failures_total == 0
+    assert report_digest(report) == CLEAN_RANDOM_DIGESTS[b, trials]
+
+
+def test_clean_exhaustive_report_is_frozen():
+    report = verify_exhaustive(2, max_n=3)
+    assert (report.subsets_checked, report.queries_checked, report.failures_total) == (
+        43_745,
+        2_799_680,
+        0,
+    )
+    assert (
+        report_digest(report)
+        == "3318c313829ad765c348f513fbafbe43bb9eb651cc94dd448061a065f54c5359"
     )

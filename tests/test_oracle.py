@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 
@@ -15,7 +16,8 @@ from bitprobe4.oracle import (
     verify_random,
     yes_set,
 )
-from bitprobe4.scheme import CaseLabel, build_from_ordinals, query
+from bitprobe4.scheme import CaseLabel, build_from_ordinals, classify, query
+from bitprobe4.tables import serialize
 
 
 def report_key(report):
@@ -52,6 +54,15 @@ class TestCheckMembership:
         st = build_from_ordinals(Params(2), [63])
         with pytest.raises(ValueError, match="probe ordinals"):
             check_membership(st, [], [0, probe])
+
+    @pytest.mark.parametrize("probes", [None, [0, 1]])
+    @pytest.mark.parametrize("member", [-1, 64, 100])
+    def test_out_of_range_member_rejected(self, member, probes):
+        # A member no structure can answer YES for is a wrong answer that
+        # no probe of [0, b**6) reaches; it must not pass silently.
+        st = build_from_ordinals(Params(2), [])
+        with pytest.raises(ValueError, match="member ordinals"):
+            check_membership(st, [member], probes)
 
     def test_failure_cap(self):
         st = build_from_ordinals(Params(2), [])
@@ -111,6 +122,41 @@ class TestLazySample:
         assert len(calls) == (wrong == "false_positive")
         assert lazy == check_membership(st, combo, eager, cap=None)
         assert target in [f.element for f in lazy.failures]
+
+
+class TestKernelMatchesBuild:
+    """Every structure `_check_subsets` builds is the one `build_from_ordinals`
+    builds for its subset, and its histogram label is `classify`'s."""
+
+    def check(self, monkeypatch, b, combos):
+        recorded = []
+        fill = oracle._fill_tables
+
+        def recording(p, grouped, asg):
+            st = fill(p, grouped, asg)
+            recorded.append((grouped, st))
+            return st
+
+        monkeypatch.setattr(oracle, "_fill_tables", recording)
+        p = Params(b)
+        for combo in combos:
+            *_, hist = oracle._check_subsets(p, [(combo, None)], 32)
+            ((grouped, st),) = recorded
+            recorded.clear()
+            assert serialize(st) == serialize(build_from_ordinals(p, combo)), combo
+            label = classify(p, grouped.keys())
+            assert hist == [int(lab is label) for lab in oracle._CASE_ORDER], combo
+
+    def test_b2_every_subset_up_to_two(self, monkeypatch):
+        m = Params(2).universe_size
+        combos = [c for k in range(3) for c in combinations(range(m), k)]
+        assert len(combos) == 1 + 64 + 2016
+        self.check(monkeypatch, 2, combos)
+
+    @pytest.mark.parametrize("b,count", [(2, 2000), (3, 300), (4, 200), (8, 60)])
+    def test_seeded_four_subsets(self, monkeypatch, b, count):
+        m = Params(b).universe_size
+        self.check(monkeypatch, b, [draw_subset(9, t, 4, m) for t in range(count)])
 
 
 class TestRunTasks:

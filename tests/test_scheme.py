@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import pytest
@@ -11,6 +12,7 @@ from bitprobe4.geometry import (
     element_from_ordinal,
     line_of,
 )
+from bitprobe4 import scheme
 from bitprobe4.scheme import (
     Assignment,
     CapacityError,
@@ -77,6 +79,29 @@ class TestGroupMembers:
     def test_invalid_address(self):
         with pytest.raises(ValueError):
             group_members(Params(2), [ElementAddr(BlockAddr(1, 9, 0), 0)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(subsets(st.integers(2, 5)))
+    def test_ordinals_group_like_addresses(self, case):
+        b, ordinals = case
+        p = Params(b)
+        expected = group_members(p, [element_from_ordinal(p, n) for n in ordinals])
+        grouped = scheme._group_ordinals(p, tuple(ordinals))
+        assert grouped == expected
+        assert all(type(blk) is BlockAddr for blk in grouped)
+
+    @pytest.mark.parametrize(
+        "ordinals",
+        [(0, 64), (-1,), (5, 1, 2, 3, 4, 99), (0, 1, 2, 3, 4), (0, 1, 2, 3, 4, 5), (7, 7, 1, 2, 3, 4)],
+    )
+    def test_ordinal_errors_match_build(self, ordinals):
+        p = Params(2)
+        with pytest.raises(ValueError) as from_build:
+            build_from_ordinals(p, ordinals)
+        with pytest.raises(ValueError) as from_group:
+            scheme._group_ordinals(p, ordinals)
+        assert type(from_group.value) is type(from_build.value)
+        assert str(from_group.value) == str(from_build.value)
 
 
 class TestBlockedStatus:
@@ -275,6 +300,12 @@ class TestQuery:
 
 
 class TestClassify:
+    def test_labels_hash_by_identity(self):
+        # Histograms are dicts keyed by label, filled in worker processes.
+        for label in CaseLabel:
+            assert hash(label) == object.__hash__(label)
+            assert pickle.loads(pickle.dumps(label)) is label
+
     def test_four_superblocks_generic(self):
         p = Params(4)
         blocks = [
