@@ -20,7 +20,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .geometry import Params, element_from_ordinal
@@ -267,14 +267,12 @@ def _draw_distinct(seed: int, trial: int, salt: int, count: int, m: int, exclude
 
 def _merge(b: int, partials: list[tuple], cap: int, elapsed: float) -> VerifyReport:
     """Sum the partial reports of `_check_subsets` in order, keeping the
-    first `cap` failures (a single partial is taken as it is)."""
-    if len(partials) == 1:
-        subsets, queries, failures, total, hist = partials[0]
-    else:
-        subsets, queries, fails, totals, hists = zip(*partials)
-        subsets, queries, total = sum(subsets), sum(queries), sum(totals)
-        failures = list(islice(chain.from_iterable(fails), cap))
-        hist = map(sum, zip(*hists))
+    first `cap` failures (each partial keeps at most `cap`)."""
+    subsets, queries, failures, total, hist = partials[0]
+    for s, q, f, t, h in partials[1:]:
+        subsets, queries, total = subsets + s, queries + q, total + t
+        failures = failures + f[: cap - len(failures)]
+        hist = [x + y for x, y in zip(hist, h)]
     histogram = dict(zip(_CASE_ORDER, hist))
     return VerifyReport(b, subsets, queries, failures, total, histogram, 0, elapsed)
 

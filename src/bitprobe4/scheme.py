@@ -29,7 +29,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .geometry import BlockAddr, ElementAddr, Params, element_from_ordinal, line_of
+from .geometry import BlockAddr, ElementAddr, Params, line_of
 from .geometry import _new, validate_element
 from .tables import Structure
 
@@ -247,7 +247,8 @@ def build(p: Params, members: Iterable[ElementAddr]) -> Structure:
 
 def build_from_ordinals(p: Params, ordinals: Iterable[int]) -> Structure:
     """Build from flat element ordinals instead of addresses."""
-    return build(p, [element_from_ordinal(p, n) for n in ordinals])
+    grouped = _group_ordinals(p, tuple(ordinals))
+    return _fill_tables(p, grouped, assign_blocks(p, grouped.keys()))
 
 
 def query(st: Structure, e: ElementAddr) -> tuple[bool, ProbeTrace]:
@@ -288,8 +289,8 @@ def _classify_sorted(blocks: list[BlockAddr]) -> CaseLabel:
         return CaseLabel.FEWER_THAN_4_BLOCKS
 
     line_count: dict[tuple[int, int], int] = {}
-    for s, x, y in blocks:
-        ln = (s, x - s * y)
+    for blk in blocks:
+        ln = line_of(blk)
         line_count[ln] = line_count.get(ln, 0) + 1
     distinct = len(line_count)
     if distinct == 4:

@@ -16,7 +16,7 @@ from bitprobe4.oracle import (
     verify_random,
     yes_set,
 )
-from bitprobe4.scheme import CaseLabel, build_from_ordinals, classify, query
+from bitprobe4.scheme import CaseLabel, build, build_from_ordinals, classify, query
 from bitprobe4.tables import serialize
 
 
@@ -126,7 +126,8 @@ class TestLazySample:
 
 class TestKernelMatchesBuild:
     """Every structure `_check_subsets` builds is the one `build_from_ordinals`
-    builds for its subset, and its histogram label is `classify`'s."""
+    builds for its subset, and the one `build` makes of its element addresses,
+    and its histogram label is `classify`'s."""
 
     def check(self, monkeypatch, b, combos):
         recorded = []
@@ -144,6 +145,8 @@ class TestKernelMatchesBuild:
             ((grouped, st),) = recorded
             recorded.clear()
             assert serialize(st) == serialize(build_from_ordinals(p, combo)), combo
+            addrs = [element_from_ordinal(p, n) for n in combo]
+            assert serialize(st) == serialize(build(p, addrs)), combo
             label = classify(p, grouped.keys())
             assert hist == [int(lab is label) for lab in oracle._CASE_ORDER], combo
 
@@ -157,6 +160,21 @@ class TestKernelMatchesBuild:
     def test_seeded_four_subsets(self, monkeypatch, b, count):
         m = Params(b).universe_size
         self.check(monkeypatch, b, [draw_subset(9, t, 4, m) for t in range(count)])
+
+
+class TestMerge:
+    def test_sums_partials_in_order_and_caps_failures(self):
+        order = oracle._CASE_ORDER
+        partials = [
+            (2, 128, ["f1", "f2", "f3"], 5, [int(k == 0) * 2 for k in range(len(order))]),
+            (1, 64, [], 0, [int(k == 1) for k in range(len(order))]),
+            (3, 192, ["f4", "f5"], 2, [int(k == 0) * 3 for k in range(len(order))]),
+        ]
+        r = oracle._merge(2, partials, 4, 0.5)
+        assert (r.subsets_checked, r.queries_checked, r.failures_total) == (6, 384, 7)
+        assert r.failures == ["f1", "f2", "f3", "f4"]
+        assert r.case_histogram == {lab: {0: 5, 1: 1}.get(k, 0) for k, lab in enumerate(order)}
+        assert partials[0][2] == ["f1", "f2", "f3"]
 
 
 class TestRunTasks:

@@ -89,6 +89,8 @@ class TestGroupMembers:
         grouped = scheme._group_ordinals(p, tuple(ordinals))
         assert grouped == expected
         assert all(type(blk) is BlockAddr for blk in grouped)
+        addrs = [element_from_ordinal(p, n) for n in ordinals]
+        assert serialize(build_from_ordinals(p, iter(ordinals))) == serialize(build(p, addrs))
 
     @pytest.mark.parametrize(
         "ordinals",
@@ -97,11 +99,11 @@ class TestGroupMembers:
     def test_ordinal_errors_match_build(self, ordinals):
         p = Params(2)
         with pytest.raises(ValueError) as from_build:
-            build_from_ordinals(p, ordinals)
-        with pytest.raises(ValueError) as from_group:
-            scheme._group_ordinals(p, ordinals)
-        assert type(from_group.value) is type(from_build.value)
-        assert str(from_group.value) == str(from_build.value)
+            build(p, [element_from_ordinal(p, n) for n in ordinals])
+        with pytest.raises(ValueError) as from_ordinals:
+            build_from_ordinals(p, iter(ordinals))
+        assert type(from_ordinals.value) is type(from_build.value)
+        assert str(from_ordinals.value) == str(from_build.value)
 
 
 class TestBlockedStatus:
