@@ -28,7 +28,7 @@ and lines from different superblocks intersect in at most one point.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
@@ -70,39 +70,56 @@ class _lazy:
         return value
 
 
-class Layout:
-    """The constants of one b and the one home of the bit positions of
-    tables A, B and C (formulas in `tables.py`) and of their inverses.
-    Shared per b through `layout`.  Inputs are not validated: `tables`'
+@dataclass(frozen=True)
+class Params:
+    """The constants of one block size b, and the one home of the bit
+    positions of tables A, B and C (formulas in `tables.py`) and of their
+    inverses.  Position methods do not validate their inputs: `tables`'
     `a_index`, `b_index` and `c_index` are the checked forms.
+
+    b >= 2 is required; b = 1 collapses the grid to a single point and the
+    superblock structure to a single block, which the scheme does not
+    support.
     """
 
-    def __init__(self, b: int):
-        self.b = b
-        self.g = g = b * b  # grid side
-        self.b4 = g * g
-        self.b5 = self.b4 * b
-        self.m = self.b5 * b
+    b: int
+    grid_side: int = field(init=False, repr=False, compare=False)  # b**2
+    blocks_per_superblock: int = field(init=False, repr=False, compare=False)  # b**4
+    num_blocks: int = field(init=False, repr=False, compare=False)  # b**5
+    universe_size: int = field(init=False, repr=False, compare=False)  # m = b**6
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.b, int) or isinstance(self.b, bool):
+            raise TypeError(f"b must be an int, got {type(self.b).__name__}")
+        if self.b < 2:
+            raise ValueError(f"b must be >= 2, got {self.b}")
+        g = self.b * self.b
+        object.__setattr__(self, "grid_side", g)
+        object.__setattr__(self, "blocks_per_superblock", g * g)
+        object.__setattr__(self, "num_blocks", g * g * self.b)
+        object.__setattr__(self, "universe_size", g * g * g)
+
+    num_superblocks = property(lambda self: self.b, doc="Number of superblocks: b.")
 
     @_lazy
     def b_offsets(self) -> tuple[int, ...]:
-        """b_offset(1), ..., b_offset(b + 1), built on first read."""
-        return tuple(self.b_offset(s) for s in range(1, self.b + 2))
+        """b_offset(1), ..., b_offset(b + 1), read on first use; shared per b."""
+        return _b_offsets(self.b)
 
     def b_offset(self, s: int) -> int:
         """Start of superblock s's line slots in B (s = b + 1 gives |B|)."""
-        return self.b * ((self.g - 1) * (s - 1) * (s + 2) // 2 + s - 1)
+        return self.b * ((self.grid_side - 1) * (s - 1) * (s + 2) // 2 + s - 1)
 
     def a_pos(self, s: int, x: int, y: int) -> int:
         """A(s, x, y), which is also the block's ordinal n // b."""
-        return (s - 1) * self.b4 + y * self.g + x
+        return (s - 1) * self.blocks_per_superblock + y * self.grid_side + x
 
     def b_slot(self, s: int, anchor: int) -> int:
         """B(line, 0) of line (s, anchor); B(line, i) is i bits further."""
-        return self.b_offsets[s - 1] + (anchor + s * (self.g - 1)) * self.b
+        return self.b_offsets[s - 1] + (anchor + s * (self.grid_side - 1)) * self.b
 
     def c_pos(self, x: int, y: int, i: int) -> int:
-        return (y * self.g + x) * self.b + i
+        return (y * self.grid_side + x) * self.b + i
 
     def line_blocks(self, s: int, anchor: int) -> range:
         """A positions of the blocks on line (s, anchor), by increasing y.
@@ -111,54 +128,23 @@ class Layout:
         [0, b**2)^2, so the positions (s - 1)*b**4 + y*b**2 + x form the
         progression (s - 1)*b**4 + anchor + y*(b**2 + s).
         """
-        g = self.g
+        g = self.grid_side
         y_lo = max(0, -(anchor // s))
         y_hi = min(g, (g - 1 - anchor) // s + 1)
-        base = (s - 1) * self.b4 + anchor
+        base = (s - 1) * self.blocks_per_superblock + anchor
         return range(base + y_lo * (g + s), base + y_hi * (g + s), g + s)
 
     def b_line(self, pos: int) -> tuple[int, int, int]:
         """Inverse of B: the line (s, anchor) and index i of B bit pos."""
         s = bisect_right(self.b_offsets, pos)
         line, i = divmod(pos - self.b_offsets[s - 1], self.b)
-        return s, line - s * (self.g - 1), i
+        return s, line - s * (self.grid_side - 1), i
 
     def c_blocks(self, pos: int) -> tuple[range, int]:
         """Inverse of C: the A positions of the blocks reading C bit pos,
         one per superblock, and the index i they read it for."""
         q, i = divmod(pos, self.b)
-        return range(q, self.b5, self.b4), i
-
-
-@lru_cache(maxsize=32)
-def layout(b: int) -> Layout:
-    """The Layout of b, built on first use; the 32 most recent are kept."""
-    return Layout(b)
-
-
-@dataclass(frozen=True)
-class Params:
-    """Scheme dimensions, all derived from the block size b via `layout`.
-
-    b >= 2 is required; b = 1 collapses the grid to a single point and the
-    superblock structure to a single block, which the scheme does not
-    support.
-    """
-
-    b: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.b, int) or isinstance(self.b, bool):
-            raise TypeError(f"b must be an int, got {type(self.b).__name__}")
-        if self.b < 2:
-            raise ValueError(f"b must be >= 2, got {self.b}")
-        object.__setattr__(self, "layout", layout(self.b))  # b's shared Layout
-
-    grid_side = property(lambda self: self.layout.g, doc="Superblock grid side: b**2.")
-    blocks_per_superblock = property(lambda self: self.layout.b4, doc="Superblock blocks: b**4.")
-    num_superblocks = property(lambda self: self.b, doc="Number of superblocks: b.")
-    num_blocks = property(lambda self: self.layout.b5, doc="Blocks in the universe: b**5.")
-    universe_size = property(lambda self: self.layout.m, doc="Universe elements: m = b**6.")
+        return range(q, self.num_blocks, self.blocks_per_superblock), i
 
     @classmethod
     def from_universe(cls, m: int) -> "Params":
@@ -181,21 +167,27 @@ class Params:
         return cls(lo)
 
 
+@lru_cache(maxsize=32)
+def _b_offsets(b: int) -> tuple[int, ...]:
+    """`Params(b).b_offsets`, built once; the 32 most recent b are kept."""
+    return tuple(map(Params(b).b_offset, range(1, b + 2)))
+
+
 def element_from_ordinal(p: Params, n: int) -> ElementAddr:
     """Decode flat ordinal n in [0, m) to its (s, x, y, i) address."""
-    lay = p.layout
-    if not 0 <= n < lay.m:
-        raise ValueError(f"ordinal {n} out of range [0, {lay.m})")
-    q, i = divmod(n, lay.b)
-    q, x = divmod(q, lay.g)
-    sm1, y = divmod(q, lay.g)
+    b, g, m = p.b, p.grid_side, p.universe_size
+    if not 0 <= n < m:
+        raise ValueError(f"ordinal {n} out of range [0, {m})")
+    q, i = divmod(n, b)
+    q, x = divmod(q, g)
+    sm1, y = divmod(q, g)
     return _new(ElementAddr, (_new(BlockAddr, (sm1 + 1, x, y)), i))
 
 
 def element_to_ordinal(p: Params, e: ElementAddr) -> int:
     """Encode an (s, x, y, i) address back to its flat ordinal."""
     validate_element(p, e)
-    return p.layout.a_pos(*e.block) * p.b + e.i
+    return p.a_pos(*e.block) * p.b + e.i
 
 
 def validate_block(p: Params, blk: BlockAddr) -> None:
@@ -234,11 +226,11 @@ def anchor_bounds(p: Params, s: int) -> tuple[int, int]:
 
 def line_blocks(p: Params, l: LineRef) -> range:
     """Block ordinals n // b (also their table-A positions) of the blocks on
-    line l, ordered by increasing y (`Layout.line_blocks`); every in-range
+    line l, ordered by increasing y (`Params.line_blocks`); every in-range
     anchor yields at least one.
     """
     line_ordinal(p, l)  # validates the line
-    return p.layout.line_blocks(*l)
+    return p.line_blocks(*l)
 
 
 def points_on_line(p: Params, l: LineRef) -> list[tuple[int, int]]:

@@ -32,6 +32,7 @@ from .scheme import (
     _classify_sorted,
     _fill_tables,
     _group_ordinals,
+    build_from_ordinals,
     query,
 )
 from .tables import Structure, size_a, size_b, size_c
@@ -121,21 +122,21 @@ def yes_set(st: Structure) -> set[int]:
 
     A 1 bit of C at c is read by the elements (s - 1)*b**5 + c whose A bit
     is 1; a 1 bit of B at index i of a line's slot is read by index i of
-    each block on that line whose A bit is 0 (`geometry.Layout` inverts
+    each block on that line whose A bit is 0 (`geometry.Params` inverts
     both).
     """
-    lay = st.params.layout
-    b = lay.b
+    p = st.params
+    b = p.b
     ta = st.table_a.data
     yes: set[int] = set()
     for c in st.table_c.ones():
-        blocks, i = lay.c_blocks(c)
+        blocks, i = p.c_blocks(c)
         for a in blocks:
             if ta[a >> 3] >> (a & 7) & 1:
                 yes.add(a * b + i)
     for pos in st.table_b.ones():
-        s, anchor, i = lay.b_line(pos)
-        for a in lay.line_blocks(s, anchor):
+        s, anchor, i = p.b_line(pos)
+        for a in p.line_blocks(s, anchor):
             if not ta[a >> 3] >> (a & 7) & 1:
                 yes.add(a * b + i)
     return yes
@@ -163,8 +164,6 @@ def check_membership(
     members: Iterable[int],
     probes: Sequence[int] | None = None,
     cap: int | None = 32,
-    *,
-    first_only: bool = False,
 ) -> CheckResult:
     """Answer each probe with the two-probe rule and compare with membership.
 
@@ -173,9 +172,9 @@ def check_membership(
     order, a probe sequence is checked in its order, duplicates included.
     The wrong answers are `yes_set(st) ^ members`, so probes cost one set
     lookup each, and nothing when no answer is wrong.  They are recorded up
-    to `cap` with `scheme.query`'s trace as evidence; `first_only` stops at
-    the first.  Every answer reads one A bit, then one B or C bit, so
-    `trace_violations` is 0 by construction.
+    to `cap` with `scheme.query`'s trace as evidence.  Every answer reads
+    one A bit, then one B or C bit, so `trace_violations` is 0 by
+    construction.
     """
     p = st.params
     m = p.universe_size
@@ -202,8 +201,6 @@ def check_membership(
         if cap is None or len(failures) < cap:
             trace = query(st, element_from_ordinal(p, n))[1]
             failures.append(Failure(subset_key, n, n in mem, n not in mem, trace))
-        if first_only:
-            break
     return CheckResult(queries, failures, total, 0)
 
 
@@ -479,8 +476,6 @@ def audit_bit_flips(
     p = Params(b)
     if structures < 1:
         raise ValueError(f"structures must be >= 1, got {structures}")
-    from .scheme import build_from_ordinals
-
     m = p.universe_size
     report = FlipAuditReport(b, structures, 0, 0, 0)
     start = time.perf_counter()
@@ -492,7 +487,7 @@ def audit_bit_flips(
         for name, table in (("A", st.table_a), ("B", st.table_b), ("C", st.table_c)):
             for pos in range(table.nbits):
                 table.flip(pos)
-                detected = check_membership(st, mem, cap=0, first_only=True).failures_total > 0
+                detected = yes_set(st) != mem
                 table.flip(pos)
                 report.flips += 1
                 if detected:

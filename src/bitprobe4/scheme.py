@@ -30,7 +30,7 @@ from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .geometry import BlockAddr, ElementAddr, Params, line_of
-from .geometry import _new, validate_element
+from .geometry import _new, element_to_ordinal, validate_element
 from .tables import Structure
 
 MAX_MEMBERS = 4
@@ -85,31 +85,19 @@ class BlockedStatus(NamedTuple):
 
 
 def group_members(p: Params, members: Iterable[ElementAddr]) -> dict[BlockAddr, set[int]]:
-    """Group members by block, deduplicating elements.
-
-    Raises CapacityError when more than MAX_MEMBERS distinct elements remain
-    after deduplication.
-    """
-    grouped: dict[BlockAddr, set[int]] = {}
-    seen: set[ElementAddr] = set()
-    for e in members:
-        validate_element(p, e)
-        if e in seen:
-            continue
-        seen.add(e)
-        if len(seen) > MAX_MEMBERS:
-            raise CapacityError(
-                f"subset has more than {MAX_MEMBERS} distinct elements"
-            )
-        grouped.setdefault(e.block, set()).add(e.i)
-    return grouped
+    """Group members by block, deduplicating elements: `_group_ordinals` of
+    their ordinals, so an invalid address raises ValueError before the
+    CapacityError of more than MAX_MEMBERS distinct elements."""
+    return _group_ordinals(p, tuple(element_to_ordinal(p, e) for e in members))
 
 
 def _group_ordinals(p: Params, ordinals: Sequence[int]) -> dict[BlockAddr, set[int]]:
-    """`group_members` of the decoded ordinals, with the same ValueError and
-    CapacityError, but no element address built: one range check, then
-    `element_from_ordinal`'s arithmetic per distinct ordinal."""
-    b, g, m = p.b, p.layout.g, p.layout.m
+    """Group flat ordinals by block, deduplicating them: the one home of
+    grouping.  Raises ValueError for an ordinal outside [0, b**6), then
+    CapacityError when more than MAX_MEMBERS distinct ordinals remain; each
+    distinct ordinal is decoded with `element_from_ordinal`'s arithmetic,
+    inlined."""
+    b, g, m = p.b, p.grid_side, p.universe_size
     if ordinals and not (0 <= min(ordinals) and max(ordinals) < m):
         n = next(n for n in ordinals if not 0 <= n < m)
         raise ValueError(f"ordinal {n} out of range [0, {m})")
@@ -206,10 +194,9 @@ def _fill_tables(
     """Set every bit implied by a routing of the grouped members.
 
     Bits are written straight into the tables' bytes at the positions of
-    `geometry.Layout`.
+    `Params`.
     """
     st = Structure.empty(p)
-    lay = p.layout
     a, tb, tc = st.table_a.data, st.table_b.data, st.table_c.data
     # Empty blocks default to A=0 (table B); blocks on a B-routed block's
     # line are B-blocked and flip to A=1 (table C).  The walk also marks
@@ -217,20 +204,20 @@ def _fill_tables(
     # B-routed block's walk reaches it (rule 2).
     for blk in asg.placed_b:
         s, x, y = blk
-        for pos in lay.line_blocks(s, x - s * y):
+        for pos in p.line_blocks(s, x - s * y):
             a[pos >> 3] |= 1 << (pos & 7)
-        pos = lay.a_pos(s, x, y)
+        pos = p.a_pos(s, x, y)
         a[pos >> 3] &= ~(1 << (pos & 7))
-        slot = lay.b_slot(s, x - s * y)
+        slot = p.b_slot(s, x - s * y)
         for i in grouped[blk]:
             pos = slot + i
             tb[pos >> 3] |= 1 << (pos & 7)
     for blk in asg.placed_c:
         s, x, y = blk
-        pos = lay.a_pos(s, x, y)
+        pos = p.a_pos(s, x, y)
         a[pos >> 3] |= 1 << (pos & 7)
         for i in grouped[blk]:
-            pos = lay.c_pos(x, y, i)
+            pos = p.c_pos(x, y, i)
             tc[pos >> 3] |= 1 << (pos & 7)
     return st
 
@@ -240,9 +227,7 @@ def build(p: Params, members: Iterable[ElementAddr]) -> Structure:
 
     Pure in (p, set of members): equal subsets give bit-identical tables.
     """
-    grouped = group_members(p, members)
-    asg = assign_blocks(p, grouped.keys())
-    return _fill_tables(p, grouped, asg)
+    return build_from_ordinals(p, (element_to_ordinal(p, e) for e in members))
 
 
 def build_from_ordinals(p: Params, ordinals: Iterable[int]) -> Structure:
@@ -256,20 +241,20 @@ def query(st: Structure, e: ElementAddr) -> tuple[bool, ProbeTrace]:
 
     Returns the answer and the trace of both probes; the first probe is
     always in table A, the second in B (A bit 0) or C (A bit 1).  The
-    positions are `geometry.Layout`'s, inlined.
+    positions are those of `Params.a_pos`, `b_slot` and `c_pos`, inlined.
     """
-    lay = st.params.layout
-    b, g = lay.b, lay.g
+    p = st.params
+    b, g = p.b, p.grid_side
     (s, x, y), i = e
     if not (1 <= s <= b and 0 <= x < g and 0 <= y < g and 0 <= i < b):
-        validate_element(st.params, e)  # raises with the precise bound
-    a_pos = (s - 1) * lay.b4 + y * g + x
+        validate_element(p, e)  # raises with the precise bound
+    a_pos = (s - 1) * p.blocks_per_superblock + y * g + x
     a_bit = st.table_a.data[a_pos >> 3] >> (a_pos & 7) & 1
     if a_bit:
         pos = (y * g + x) * b + i
         bit = st.table_c.data[pos >> 3] >> (pos & 7) & 1
         return bool(bit), (("A", a_pos, 1), ("C", pos, bit))
-    pos = lay.b_offsets[s - 1] + (x - s * y + s * (g - 1)) * b + i
+    pos = p.b_offsets[s - 1] + (x - s * y + s * (g - 1)) * b + i
     bit = st.table_b.data[pos >> 3] >> (pos & 7) & 1
     return bool(bit), (("A", a_pos, 0), ("B", pos, bit))
 

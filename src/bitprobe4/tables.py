@@ -10,7 +10,7 @@ for every grid coordinate, shared by all superblocks.  Exact sizes:
         = b * ((b**2 - 1) * b * (b + 3) // 2 + b)
     |C| = b**4 * b = b**5
 
-Bit positions (their one home is `geometry.Layout`, which also inverts them):
+Bit positions (their one home is `geometry.Params`, which also inverts them):
 
     A(s, x, y)    = (s - 1) * b**4 + y * b**2 + x
     B(line, i)    = offset(s) + line_ordinal(line) * b + i
@@ -128,7 +128,7 @@ def size_a(p: Params) -> int:
 
 
 def size_b(p: Params) -> int:
-    return p.layout.b_offset(p.b + 1)  # closed form: O(1) for a hostile b
+    return p.b_offset(p.b + 1)  # closed form: O(1) for a hostile b
 
 
 def size_c(p: Params) -> int:
@@ -138,7 +138,7 @@ def size_c(p: Params) -> int:
 def a_index(p: Params, blk: BlockAddr) -> int:
     """Bit position of blk's steering bit in table A."""
     validate_block(p, blk)
-    return p.layout.a_pos(*blk)
+    return p.a_pos(*blk)
 
 
 def b_index(p: Params, l: LineRef, i: int) -> int:
@@ -146,7 +146,7 @@ def b_index(p: Params, l: LineRef, i: int) -> int:
     if not 0 <= i < p.b:
         raise ValueError(f"block index {i} out of range [0, {p.b})")
     line_ordinal(p, l)  # validates the line
-    return p.layout.b_slot(*l) + i
+    return p.b_slot(*l) + i
 
 
 def c_index(p: Params, x: int, y: int, i: int) -> int:
@@ -156,7 +156,7 @@ def c_index(p: Params, x: int, y: int, i: int) -> int:
     slot.
     """
     validate_element(p, ElementAddr(BlockAddr(1, x, y), i))  # C is shared by all s
-    return p.layout.c_pos(x, y, i)
+    return p.c_pos(x, y, i)
 
 
 @dataclass

@@ -1,30 +1,30 @@
-"""The per-b layout: one home for the A, B and C bit positions.
+"""`Params`, the per-b object: one home for the A, B and C bit positions.
 
-Every place that computes a bit position must agree with `Layout`: the
+Every place that computes a bit position must agree with `Params`: the
 formulas of the `tables.py` docstring, the validated `a_index`, `b_index`
 and `c_index`, the positions in `query`'s trace, the bits `_fill_tables`
 sets, and the inversion in `yes_set`.  Hot loops that inline the
-arithmetic are pinned to the layout by these checks, over every block,
-line, index and grid point for b = 2..5.
+arithmetic are pinned to `Params` by these checks, over every block,
+line, index and grid point for b = 2..5, and `_group_ordinals`' inline
+decode is pinned to `element_from_ordinal` over every ordinal.
 """
 
 import re
 
 import pytest
 
-from bitprobe4 import tables
+from bitprobe4 import geometry, tables
 from bitprobe4.geometry import (
     BlockAddr,
     ElementAddr,
     LineRef,
     Params,
     element_from_ordinal,
-    layout,
     line_ordinal,
     lines_of_superblock,
 )
 from bitprobe4.oracle import yes_set
-from bitprobe4.scheme import Assignment, _fill_tables, query
+from bitprobe4.scheme import Assignment, _fill_tables, _group_ordinals, query
 from bitprobe4.tables import (
     ParseError,
     Structure,
@@ -75,9 +75,8 @@ def lines(p: Params):
 @pytest.mark.parametrize("b", B_VALUES)
 def test_a_positions_agree(b):
     p = Params(b)
-    lay = p.layout
     for blk in blocks(b):
-        pos = lay.a_pos(*blk)
+        pos = p.a_pos(*blk)
         assert pos == a_index(p, blk) == doc_position("A", b, s=blk.s, x=blk.x, y=blk.y)
         assert element_from_ordinal(p, pos * b).block == blk  # A(block) = n // b
 
@@ -85,44 +84,41 @@ def test_a_positions_agree(b):
 @pytest.mark.parametrize("b", B_VALUES)
 def test_b_positions_and_inverse_agree(b):
     p = Params(b)
-    lay = p.layout
     seen = set()
     for l in lines(p):
         s, anchor = l
         for i in range(b):
-            pos = lay.b_slot(s, anchor) + i
+            pos = p.b_slot(s, anchor) + i
             doc = doc_position("B", b, s=s, line=l, i=i, line_ordinal=lambda l: line_ordinal(p, l))
             assert pos == b_index(p, l, i) == doc
-            assert lay.b_line(pos) == (s, anchor, i)
+            assert p.b_line(pos) == (s, anchor, i)
             seen.add(pos)
     assert seen == set(range(size_b(p)))
-    assert lay.b_offsets == tuple(lay.b_offset(s) for s in range(1, b + 2))
-    assert lay.b_offsets[-1] == size_b(p)
+    assert p.b_offsets == tuple(p.b_offset(s) for s in range(1, b + 2))
+    assert p.b_offsets[-1] == size_b(p)
 
 
 @pytest.mark.parametrize("b", B_VALUES)
 def test_c_positions_and_inverse_agree(b):
     p = Params(b)
-    lay = p.layout
     for x, y in grid(b):
-        readers = [lay.a_pos(s, x, y) for s in range(1, b + 1)]
+        readers = [p.a_pos(s, x, y) for s in range(1, b + 1)]
         for i in range(b):
-            pos = lay.c_pos(x, y, i)
+            pos = p.c_pos(x, y, i)
             assert pos == c_index(p, x, y, i) == doc_position("C", b, x=x, y=y, i=i)
-            found, j = lay.c_blocks(pos)
+            found, j = p.c_blocks(pos)
             assert (list(found), j) == (readers, i)
 
 
 @pytest.mark.parametrize("b", B_VALUES)
 def test_line_blocks_are_the_lines_grid_points(b):
     p = Params(b)
-    lay = p.layout
     on_line: dict[LineRef, list[int]] = {}
     for blk in sorted(blocks(b), key=lambda k: (k.s, k.y, k.x)):
-        on_line.setdefault(LineRef(blk.s, blk.x - blk.s * blk.y), []).append(lay.a_pos(*blk))
+        on_line.setdefault(LineRef(blk.s, blk.x - blk.s * blk.y), []).append(p.a_pos(*blk))
     assert set(on_line) == set(lines(p))
     for (s, anchor), expected in on_line.items():
-        assert list(lay.line_blocks(s, anchor)) == expected
+        assert list(p.line_blocks(s, anchor)) == expected
 
 
 def all_a(p: Params, bit: int) -> Structure:
@@ -137,33 +133,31 @@ def all_a(p: Params, bit: int) -> Structure:
 def test_query_trace_positions_agree(b):
     """With every A bit 0 each element reads B, with every A bit 1 it reads C."""
     p = Params(b)
-    lay = p.layout
     via_b, via_c = all_a(p, 0), all_a(p, 1)
     for n in range(p.universe_size):
         e = element_from_ordinal(p, n)
         (s, x, y), i = e
-        a = lay.a_pos(s, x, y)
-        assert query(via_b, e) == (False, (("A", a, 0), ("B", lay.b_slot(s, x - s * y) + i, 0)))
-        assert query(via_c, e) == (False, (("A", a, 1), ("C", lay.c_pos(x, y, i), 0)))
+        a = p.a_pos(s, x, y)
+        assert query(via_b, e) == (False, (("A", a, 0), ("B", p.b_slot(s, x - s * y) + i, 0)))
+        assert query(via_c, e) == (False, (("A", a, 1), ("C", p.c_pos(x, y, i), 0)))
 
 
 @pytest.mark.parametrize("b", B_VALUES)
 def test_fill_tables_sets_the_layout_bits(b):
     """One block holding every index, routed to B and then to C."""
     p = Params(b)
-    lay = p.layout
     for blk in blocks(b):
         s, x, y = blk
         grouped = {blk: set(range(b))}
         st = _fill_tables(p, grouped, Assignment(frozenset([blk]), frozenset()))
-        slot = lay.b_slot(s, x - s * y)
+        slot = p.b_slot(s, x - s * y)
         assert list(st.table_b.ones()) == list(range(slot, slot + b))
         assert list(st.table_c.ones()) == []
-        assert set(st.table_a.ones()) == set(lay.line_blocks(s, x - s * y)) - {lay.a_pos(*blk)}
+        assert set(st.table_a.ones()) == set(p.line_blocks(s, x - s * y)) - {p.a_pos(*blk)}
         st = _fill_tables(p, grouped, Assignment(frozenset(), frozenset([blk])))
         assert list(st.table_b.ones()) == []
-        assert list(st.table_c.ones()) == [lay.c_pos(x, y, i) for i in range(b)]
-        assert list(st.table_a.ones()) == [lay.a_pos(*blk)]
+        assert list(st.table_c.ones()) == [p.c_pos(x, y, i) for i in range(b)]
+        assert list(st.table_a.ones()) == [p.a_pos(*blk)]
 
 
 @pytest.mark.parametrize("b", B_VALUES)
@@ -185,22 +179,33 @@ def test_yes_set_inverts_each_bit(b):
             table.flip(pos)
 
 
-def test_layout_cache_stays_bounded():
-    bound = layout.cache_info().maxsize
+@pytest.mark.parametrize("b", [2, 3])
+def test_group_ordinals_decodes_like_element_from_ordinal(b):
+    p = Params(b)
+    for n in range(p.universe_size):
+        e = element_from_ordinal(p, n)
+        grouped = _group_ordinals(p, (n,))
+        assert grouped == {e.block: {e.i}}
+        assert type(next(iter(grouped))) is BlockAddr
+
+
+def test_offsets_cache_stays_bounded():
+    bound = geometry._b_offsets.cache_info().maxsize
     for b in range(100, 200):
         header = tables.MAGIC + bytes([tables.FORMAT_VERSION]) + b.to_bytes(8, "little")
         with pytest.raises(ParseError):
             deserialize(header)
-        element_from_ordinal(Params(b), b**6 - 1)
-        assert layout.cache_info().currsize <= bound
+        offsets = Params(b).b_offsets  # shared per b
+        assert offsets is Params(b).b_offsets and offsets[-1] == size_b(Params(b))
+        assert geometry._b_offsets.cache_info().currsize <= bound
     assert bound == 32
 
 
 def test_huge_b_builds_no_offsets():
     p = Params(2**63 - 1)
     assert p.universe_size == (2**63 - 1) ** 6
-    assert size_b(p) == p.layout.b_offset(p.b + 1)
-    assert "b_offsets" not in vars(p.layout)
+    assert size_b(p) == p.b_offset(p.b + 1)
+    assert "b_offsets" not in vars(p)
 
 
 class TestDecodeContract:

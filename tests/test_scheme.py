@@ -80,6 +80,24 @@ class TestGroupMembers:
         with pytest.raises(ValueError):
             group_members(Params(2), [ElementAddr(BlockAddr(1, 9, 0), 0)])
 
+    @pytest.mark.parametrize("bad_first", [False, True])
+    def test_invalid_element_beats_capacity(self, bad_first):
+        """Five distinct valid elements and one out-of-range element raise
+        ValueError, not CapacityError, in either order, on every path."""
+        p = Params(2)
+        ordinals = [0, 1, 2, 3, 4]
+        addrs = [element_from_ordinal(p, n) for n in ordinals]
+        bad_ordinal, bad_addr = 64, ElementAddr(BlockAddr(1, 9, 0), 0)
+        for call, valid, bad in (
+            (build, addrs, bad_addr),
+            (group_members, addrs, bad_addr),
+            (build_from_ordinals, ordinals, bad_ordinal),
+        ):
+            items = [bad] + valid if bad_first else valid + [bad]
+            with pytest.raises(ValueError) as info:
+                call(p, items)
+            assert not isinstance(info.value, CapacityError), call.__name__
+
     @settings(max_examples=200, deadline=None)
     @given(subsets(st.integers(2, 5)))
     def test_ordinals_group_like_addresses(self, case):

@@ -91,7 +91,7 @@ class TestSizes:
 
     def test_offsets_cumulative(self):
         p = Params(3)
-        offs = p.layout.b_offsets
+        offs = p.b_offsets
         assert offs[0] == 0
         for s in range(1, 4):
             assert offs[s] - offs[s - 1] == num_lines(p, s) * 3
