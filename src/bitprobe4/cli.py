@@ -31,15 +31,15 @@ def _parse_b_range(text: str) -> tuple[int, int]:
 
 def cmd_build(args: argparse.Namespace) -> int:
     p = Params(args.b) if args.b is not None else Params.from_universe(args.m)
+    st = build_from_ordinals(p, _parse_subset(args.set))  # range-checks first
+    blob = serialize(st)
+    with open(args.out, "wb") as fh:
+        fh.write(blob)
     if args.b is None and p.universe_size != args.m:
         print(
             f"note: universe padded to m={p.universe_size} (b={p.b}) "
             f"for requested m={args.m}"
         )
-    st = build_from_ordinals(p, _parse_subset(args.set))  # range-checks first
-    blob = serialize(st)
-    with open(args.out, "wb") as fh:
-        fh.write(blob)
     total = st.total_bits()
     print(
         f"b={p.b} m={p.universe_size} |A|={st.table_a.nbits} "

@@ -103,8 +103,9 @@ class Params:
 
     @_lazy
     def b_offsets(self) -> tuple[int, ...]:
-        """b_offset(1), ..., b_offset(b + 1), read on first use; shared per b."""
-        return _b_offsets(self.b)
+        """b_offset(1), ..., b_offset(b + 1), built on first read; shared per
+        b through `cached_params`."""
+        return tuple(map(self.b_offset, range(1, self.b + 2)))
 
     def b_offset(self, s: int) -> int:
         """Start of superblock s's line slots in B (s = b + 1 gives |B|)."""
@@ -129,8 +130,10 @@ class Params:
         progression (s - 1)*b**4 + anchor + y*(b**2 + s).
         """
         g = self.grid_side
-        y_lo = max(0, -(anchor // s))
-        y_hi = min(g, (g - 1 - anchor) // s + 1)
+        y_lo = -(anchor // s) if anchor < 0 else 0  # max and min, without the calls
+        y_hi = (g - 1 - anchor) // s + 1
+        if y_hi > g:
+            y_hi = g
         base = (s - 1) * self.blocks_per_superblock + anchor
         return range(base + y_lo * (g + s), base + y_hi * (g + s), g + s)
 
@@ -167,10 +170,12 @@ class Params:
         return cls(lo)
 
 
-@lru_cache(maxsize=32)
-def _b_offsets(b: int) -> tuple[int, ...]:
-    """`Params(b).b_offsets`, built once; the 32 most recent b are kept."""
-    return tuple(map(Params(b).b_offset, range(1, b + 2)))
+@lru_cache(maxsize=32, typed=True)
+def cached_params(b: int) -> Params:
+    """`Params(b)`, built once per b; the 32 most recent b are kept.  An
+    invalid b raises on every call and is never cached (`typed`, so 2.0
+    does not hit b = 2)."""
+    return Params(b)
 
 
 def element_from_ordinal(p: Params, n: int) -> ElementAddr:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .geometry import Params, element_from_ordinal
+from .geometry import Params, cached_params, element_from_ordinal
 from .scheme import (
     CaseLabel,
     MAX_MEMBERS,
@@ -118,12 +118,14 @@ class VerifyReport:
 
 
 def yes_set(st: Structure) -> set[int]:
-    """Every ordinal the structure answers YES for, in O(bytes + ones * b**2).
+    """Every ordinal the structure answers YES for, in O(bytes + ones * b**2):
+    one `b_line` and one walk of its line per B line slot that holds 1 bits,
+    however many it holds, then one insertion per reader of each bit.
 
     A 1 bit of C at c is read by the elements (s - 1)*b**5 + c whose A bit
     is 1; a 1 bit of B at index i of a line's slot is read by index i of
     each block on that line whose A bit is 0 (`geometry.Params` inverts
-    both).
+    both).  `ones()` is ascending, so the bits of one slot come together.
     """
     p = st.params
     b = p.b
@@ -134,11 +136,17 @@ def yes_set(st: Structure) -> set[int]:
         for a in blocks:
             if ta[a >> 3] >> (a & 7) & 1:
                 yes.add(a * b + i)
+    end = 0
     for pos in st.table_b.ones():
-        s, anchor, i = p.b_line(pos)
-        for a in p.line_blocks(s, anchor):
-            if not ta[a >> 3] >> (a & 7) & 1:
-                yes.add(a * b + i)
+        if pos >= end:  # the first 1 bit of a new slot: invert and walk once
+            s, anchor, i = p.b_line(pos)
+            slot, end = pos - i, pos - i + b
+            readers = []  # a*b - slot: reader + pos is index pos - slot of block a
+            for a in p.line_blocks(s, anchor):
+                if not ta[a >> 3] >> (a & 7) & 1:
+                    readers.append(a * b - slot)
+        for n in readers:
+            yes.add(n + pos)
     return yes
 
 
@@ -342,11 +350,13 @@ def verify_exhaustive(
     ordinals.  Refuses runs whose estimated probe count exceeds max_queries;
     raise the limit explicitly to force a large run.
     """
-    p = Params(b)
+    p = cached_params(b)
     if not 0 <= max_n <= MAX_MEMBERS:
         raise ValueError(f"max_n must be in [0, {MAX_MEMBERS}], got {max_n}")
     if failure_cap < 1:
         raise ValueError("failure_cap must be >= 1")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     m = p.universe_size
     total_subsets = sum(math.comb(m, k) for k in range(max_n + 1))
     estimate = total_subsets * m
@@ -357,7 +367,7 @@ def verify_exhaustive(
             f"over the limit of {max_queries}; pass a larger max_queries "
             f"to force it"
         )
-    chunk = max(1000, total_subsets // (max(jobs, 1) * 8) + 1)
+    chunk = max(1000, total_subsets // (jobs * 8) + 1)
     tasks = []
     for k in range(max_n + 1):
         count = math.comb(m, k)
@@ -382,7 +392,7 @@ def verify_random(
     For b <= 4 every universe element is checked per subset; for larger b
     the members plus 10,000 seeded non-members are checked.
     """
-    p = Params(b)
+    p = cached_params(b)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= n <= MAX_MEMBERS:
@@ -391,7 +401,9 @@ def verify_random(
         raise ValueError(f"n={n} exceeds universe size {p.universe_size}")
     if failure_cap < 1:
         raise ValueError("failure_cap must be >= 1")
-    chunk = max(100, trials // (max(jobs, 1) * 8) + 1)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    chunk = max(100, trials // (jobs * 8) + 1)
     tasks = [
         (p, n, seed, lo, min(lo + chunk, trials), failure_cap)
         for lo in range(0, trials, chunk)
@@ -473,7 +485,7 @@ def audit_bit_flips(
     Each single-bit flip either changes some query answer (detected) or is
     proven harmless by the full sweep.
     """
-    p = Params(b)
+    p = cached_params(b)
     if structures < 1:
         raise ValueError(f"structures must be >= 1, got {structures}")
     m = p.universe_size

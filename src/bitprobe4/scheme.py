@@ -135,10 +135,10 @@ def _routing_valid(
     to_c: list[BlockAddr],
 ) -> bool:
     """Check rules 2 to 4 for a candidate routing (rule 1 holds by shape)."""
-    lines_b = [(blk.s, blk.x - blk.s * blk.y) for blk in to_b]
+    lines_b = [(s, x - s * y) for s, x, y in to_b]
     if len(set(lines_b)) != len(lines_b):
         return False
-    coords_c = [(blk.x, blk.y) for blk in to_c]
+    coords_c = [(x, y) for _, x, y in to_c]
     if len(set(coords_c)) != len(coords_c):
         return False
     # Rule 4: a doubly blocked empty block would sit at a C-routed block's
@@ -177,7 +177,9 @@ def _assign_sorted(p: Params, blocks: list[BlockAddr]) -> Assignment:
     """`assign_blocks` of blocks already in `_sorted_blocks` form."""
     n = len(blocks)
     block_set = frozenset(blocks)
-    for k in range(1 << n):
+    if _routing_valid(p, block_set, blocks, []):  # k = 0: all blocks to B
+        return _new(Assignment, (block_set, frozenset()))
+    for k in range(1, 1 << n):
         to_b = [blocks[j] for j in range(n) if not k >> j & 1]
         to_c = [blocks[j] for j in range(n) if k >> j & 1]
         if _routing_valid(p, block_set, to_b, to_c):
@@ -273,10 +275,8 @@ def _classify_sorted(blocks: list[BlockAddr]) -> CaseLabel:
     if len(blocks) < 4:
         return CaseLabel.FEWER_THAN_4_BLOCKS
 
-    line_count: dict[tuple[int, int], int] = {}
-    for blk in blocks:
-        ln = line_of(blk)
-        line_count[ln] = line_count.get(ln, 0) + 1
+    lines = [(s, x - s * y) for s, x, y in blocks]  # `line_of`, as plain tuples
+    line_count = {ln: lines.count(ln) for ln in lines}
     distinct = len(line_count)
     if distinct == 4:
         return CaseLabel.I
@@ -287,10 +287,8 @@ def _classify_sorted(blocks: list[BlockAddr]) -> CaseLabel:
         return CaseLabel.IIIA if split == [1, 3] else CaseLabel.IIIB
 
     # Three distinct lines: one line holds two blocks, the others one each.
-    coord_count: dict[tuple[int, int], int] = {}
-    for blk in blocks:
-        xy = (blk.x, blk.y)
-        coord_count[xy] = coord_count.get(xy, 0) + 1
+    coords = [(x, y) for _, x, y in blocks]
+    coord_count = {xy: coords.count(xy) for xy in coords}
     mults = sorted(coord_count.values(), reverse=True)
     if mults[0] == 3:
         return CaseLabel.IVA
@@ -302,9 +300,8 @@ def _classify_sorted(blocks: list[BlockAddr]) -> CaseLabel:
         # Singleton-line blocks outside the coincident pair decide the
         # subcase: all on the doubly occupied line's geometry -> IVC_i.
         ds, da = double_line
-        for blk in blocks:
-            if line_count[line_of(blk)] == 1 and (blk.x, blk.y) != pair_xy:
-                if blk.x - ds * blk.y != da:
-                    return CaseLabel.IVC_ii
+        for (_, x, y), ln in zip(blocks, lines):
+            if line_count[ln] == 1 and (x, y) != pair_xy and x - ds * y != da:
+                return CaseLabel.IVC_ii
         return CaseLabel.IVC_i
     return CaseLabel.IVD

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .geometry import BlockAddr, ElementAddr, LineRef, Params, line_ordinal
+from .geometry import BlockAddr, ElementAddr, LineRef, Params, cached_params, line_ordinal
 from .geometry import validate_block, validate_element
 
 MAGIC = b"BP42"
@@ -104,14 +104,19 @@ class BitTable:
         self.data[pos >> 3] ^= 1 << (pos & 7)
 
     def ones(self) -> Iterator[int]:
-        """Positions of set bits, ascending; zero bytes are skipped at C speed."""
-        data = self.data
+        """Positions of set bits, ascending; zero bytes are skipped at C speed,
+        and each nonzero byte yields its lowest set bit until it is spent."""
+        data, nbits = self.data, self.nbits
         flags = data.translate(_NONZERO)
         k = flags.find(1)
         while k >= 0:
-            for j in range(8):
-                if data[k] >> j & 1 and k * 8 + j < self.nbits:
-                    yield k * 8 + j
+            v = data[k]
+            while v:
+                pos = (k << 3) + (v & -v).bit_length() - 1
+                if pos >= nbits:  # padding bits of the last byte
+                    return
+                yield pos
+                v &= v - 1
             k = flags.find(1, k + 1)
 
     def __eq__(self, other: object) -> bool:
@@ -172,13 +177,13 @@ class Structure:
     def empty(cls, p: Params) -> "Structure":
         """All-zero structure, the encoding of the empty set; ValueError,
         before allocating, above MAX_STRUCTURE_BITS."""
-        bits = size_a(p) + size_b(p) + size_c(p)
-        if bits > MAX_STRUCTURE_BITS:
+        na, nb, nc = size_a(p), size_b(p), size_c(p)
+        if na + nb + nc > MAX_STRUCTURE_BITS:
             raise ValueError(
-                f"b={p.b} needs {bits} table bits, over the limit of "
+                f"b={p.b} needs {na + nb + nc} table bits, over the limit of "
                 f"{MAX_STRUCTURE_BITS} (b <= 53)"
             )
-        return cls(p, BitTable(size_a(p)), BitTable(size_b(p)), BitTable(size_c(p)))
+        return cls(p, BitTable(na), BitTable(nb), BitTable(nc))
 
     def total_bits(self) -> int:
         return self.table_a.nbits + self.table_b.nbits + self.table_c.nbits
@@ -219,7 +224,7 @@ def deserialize(blob: bytes) -> Structure:
     b = int.from_bytes(raw_b, "little")
     if b < 2:
         raise ParseError(f"parameter b must be >= 2, got {b}")
-    p = Params(b)
+    p = cached_params(b)
     view = memoryview(blob)  # payload slices then copy once, into the tables
     tables = []
     for name, expect in (("A", size_a(p)), ("B", size_b(p)), ("C", size_c(p))):

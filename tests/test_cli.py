@@ -46,6 +46,13 @@ class TestBuild:
         assert "over the limit" in err
         assert not out_file.exists()
 
+    def test_refused_build_prints_no_notice(self, tmp_path, capsys):
+        code, out, err = run(
+            capsys, "build", "--m", str(10**400), "--set", "0", "--out", str(tmp_path / "x")
+        )
+        assert code == 2 and out == ""
+        assert "over the limit" in err
+
     def test_m_padding_notice(self, tmp_path, capsys):
         code, out, _ = run(
             capsys, "build", "--m", "100", "--set", "0", "--out", str(tmp_path / "m.bp4")
@@ -117,6 +124,12 @@ class TestVerify:
         )
         assert code == 0
         assert "verdict: PASS" in out
+
+    @pytest.mark.parametrize("mode", [("--trials", "5"), ("--exhaustive", "--max-n", "1")])
+    def test_bad_jobs_refused(self, capsys, mode):
+        code, out, err = run(capsys, "verify", "--b", "2", *mode, "--jobs", "-3")
+        assert code == 2 and out == ""
+        assert "jobs must be >= 1" in err
 
 
 class TestStatsAndDump:

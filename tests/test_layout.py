@@ -13,12 +13,13 @@ import re
 
 import pytest
 
-from bitprobe4 import geometry, tables
+from bitprobe4 import tables
 from bitprobe4.geometry import (
     BlockAddr,
     ElementAddr,
     LineRef,
     Params,
+    cached_params,
     element_from_ordinal,
     line_ordinal,
     lines_of_superblock,
@@ -190,15 +191,41 @@ def test_group_ordinals_decodes_like_element_from_ordinal(b):
 
 
 def test_offsets_cache_stays_bounded():
-    bound = geometry._b_offsets.cache_info().maxsize
+    bound = cached_params.cache_info().maxsize
     for b in range(100, 200):
         header = tables.MAGIC + bytes([tables.FORMAT_VERSION]) + b.to_bytes(8, "little")
         with pytest.raises(ParseError):
             deserialize(header)
-        offsets = Params(b).b_offsets  # shared per b
-        assert offsets is Params(b).b_offsets and offsets[-1] == size_b(Params(b))
-        assert geometry._b_offsets.cache_info().currsize <= bound
+        hits = cached_params.cache_info().hits
+        p = cached_params(b)  # the entry deserialize made; offsets shared per b
+        assert cached_params.cache_info().hits == hits + 1
+        assert p.b_offsets is cached_params(b).b_offsets and p.b_offsets[-1] == size_b(p)
+        assert cached_params.cache_info().currsize <= bound
     assert bound == 32
+
+
+class TestParamsCache:
+    def test_equal_b_gives_the_same_object(self):
+        assert cached_params(3) is cached_params(3) == Params(3)
+        assert cached_params(3) is not cached_params(4)
+
+    @pytest.mark.parametrize(
+        "bad,error", [(1, ValueError), (-5, ValueError), (2.0, TypeError), (True, TypeError)]
+    )
+    def test_invalid_b_raises_every_time_and_is_never_cached(self, bad, error):
+        cached_params(2)  # an entry that 2.0 compares equal to, and must miss
+        size = cached_params.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(error):
+                cached_params(bad)
+        assert cached_params.cache_info().currsize == size
+
+    def test_hostile_header_builds_no_offsets(self):
+        b = 2**63 - 1
+        header = tables.MAGIC + bytes([tables.FORMAT_VERSION]) + b.to_bytes(8, "little")
+        with pytest.raises(ParseError):
+            deserialize(header)
+        assert "b_offsets" not in vars(cached_params(b))
 
 
 def test_huge_b_builds_no_offsets():

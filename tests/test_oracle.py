@@ -74,7 +74,7 @@ class TestCheckMembership:
 
 
 class TestYesSet:
-    @pytest.mark.parametrize("b", [2, 3])
+    @pytest.mark.parametrize("b", [2, 3, 4])
     @pytest.mark.parametrize("full", [True, False])
     def test_dense_tables(self, b, full):
         # A bits seeded at random; B and C bits all set (every answer is
@@ -90,6 +90,35 @@ class TestYesSet:
         }
         assert len(expected) == p.universe_size if full else 0 < len(expected) < p.universe_size
         assert yes_set(st) == expected
+
+    @pytest.mark.parametrize("b", [3, 4])
+    def test_one_b_line_per_slot(self, monkeypatch, b):
+        # Three members share one block and its line slot, and the
+        # dense tables fill every slot with several bits.
+        p = Params(b)
+        members = [0, 1, 2, b**5]
+        dense = build_from_ordinals(p, [])
+        stream = splitmix64_stream(b)
+        for table in (dense.table_a, dense.table_b):
+            for pos in range(table.nbits):
+                table[pos] = next(stream) & 1
+        calls = []
+        b_line = Params.b_line
+
+        def counting(self, pos):
+            calls.append(pos)
+            return b_line(self, pos)
+
+        monkeypatch.setattr(Params, "b_line", counting)
+        for st, expected in ((build_from_ordinals(p, members), set(members)), (dense, None)):
+            ones = list(st.table_b.ones())
+            slots = {b_line(p, pos)[:2] for pos in ones}
+            assert len(slots) < len(ones)
+            calls.clear()
+            got = yes_set(st)
+            assert len(calls) == len(slots)
+            if expected is not None:
+                assert got == expected
 
 
 class TestLazySample:
@@ -244,6 +273,13 @@ class TestVerifyExhaustive:
     def test_rejects_bad_max_n(self):
         with pytest.raises(ValueError):
             verify_exhaustive(2, max_n=5)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_rejects_bad_jobs(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            verify_exhaustive(2, max_n=1, jobs=jobs)
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            verify_random(2, trials=5, seed=1, jobs=jobs)
 
 
 class TestVerifyRandom:

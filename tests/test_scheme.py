@@ -158,6 +158,26 @@ class TestAssignBlocks:
         assert asg.placed_b == frozenset([BlockAddr(1, 3, 3)])
         assert asg.placed_c == frozenset(blocks[:3])
 
+    def test_every_candidate_goes_through_routing_valid(self, monkeypatch):
+        # the one-line case above wins at mask k = 7: masks 0..7 are each
+        # checked once, in order, the all-B candidate (k = 0) included
+        p = Params(2)
+        blocks = [BlockAddr(1, k, k) for k in range(4)]
+        seen = []
+        valid = scheme._routing_valid
+
+        def recording(p, non_empty, to_b, to_c):
+            seen.append((list(to_b), list(to_c)))
+            return valid(p, non_empty, to_b, to_c)
+
+        monkeypatch.setattr(scheme, "_routing_valid", recording)
+        assign_blocks(p, blocks)
+        expected = []
+        for k in range(8):
+            to_c = [blk for j, blk in enumerate(blocks) if k >> j & 1]
+            expected.append(([blk for blk in blocks if blk not in to_c], to_c))
+        assert seen == expected
+
     def test_crossing_lines_with_coincident_pair(self):
         # two blocks per line, lines crossing at (1, 1): the coincident pair
         # must split across the tables
