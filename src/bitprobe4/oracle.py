@@ -119,13 +119,14 @@ class VerifyReport:
 
 def yes_set(st: Structure) -> set[int]:
     """Every ordinal the structure answers YES for, in O(bytes + ones * b**2):
-    one `b_line` and one walk of its line per B line slot that holds 1 bits,
-    however many it holds, then one insertion per reader of each bit.
+    one `c_blocks` per 1 bit of C, one `b_line` and one walk of its line
+    per 1 bit of B.
 
     A 1 bit of C at c is read by the elements (s - 1)*b**5 + c whose A bit
     is 1; a 1 bit of B at index i of a line's slot is read by index i of
     each block on that line whose A bit is 0 (`geometry.Params` inverts
-    both).  `ones()` is ascending, so the bits of one slot come together.
+    both).  A slot holds two 1 bits only when two members share a B-routed
+    block, so the walk is not shared between the bits of one slot.
     """
     p = st.params
     b = p.b
@@ -136,17 +137,11 @@ def yes_set(st: Structure) -> set[int]:
         for a in blocks:
             if ta[a >> 3] >> (a & 7) & 1:
                 yes.add(a * b + i)
-    end = 0
     for pos in st.table_b.ones():
-        if pos >= end:  # the first 1 bit of a new slot: invert and walk once
-            s, anchor, i = p.b_line(pos)
-            slot, end = pos - i, pos - i + b
-            readers = []  # a*b - slot: reader + pos is index pos - slot of block a
-            for a in p.line_blocks(s, anchor):
-                if not ta[a >> 3] >> (a & 7) & 1:
-                    readers.append(a * b - slot)
-        for n in readers:
-            yes.add(n + pos)
+        s, anchor, i = p.b_line(pos)
+        for a in p.line_blocks(s, anchor):
+            if not ta[a >> 3] >> (a & 7) & 1:
+                yes.add(a * b + i)
     return yes
 
 

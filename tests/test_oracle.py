@@ -92,9 +92,10 @@ class TestYesSet:
         assert yes_set(st) == expected
 
     @pytest.mark.parametrize("b", [3, 4])
-    def test_one_b_line_per_slot(self, monkeypatch, b):
-        # Three members share one block and its line slot, and the
-        # dense tables fill every slot with several bits.
+    def test_one_b_line_per_b_bit(self, monkeypatch, b):
+        # yes_set inverts B positions through Params.b_line, once per 1
+        # bit, also where three members share one block and its line slot
+        # and where the dense tables fill every slot with several bits.
         p = Params(b)
         members = [0, 1, 2, b**5]
         dense = build_from_ordinals(p, [])
@@ -112,11 +113,10 @@ class TestYesSet:
         monkeypatch.setattr(Params, "b_line", counting)
         for st, expected in ((build_from_ordinals(p, members), set(members)), (dense, None)):
             ones = list(st.table_b.ones())
-            slots = {b_line(p, pos)[:2] for pos in ones}
-            assert len(slots) < len(ones)
+            assert len({b_line(p, pos)[:2] for pos in ones}) < len(ones)
             calls.clear()
             got = yes_set(st)
-            assert len(calls) == len(slots)
+            assert calls == ones
             if expected is not None:
                 assert got == expected
 
