@@ -1,8 +1,8 @@
 """Acceptance suite: every criterion prints one PASS/FAIL line.
 
 Run with `pytest -s tests/test_acceptance.py` to watch the lines appear;
-on 2 cores (Python 3.11) the exhaustive b=2 run takes about 9 s with both
-cores and the randomized b=3/4 run about 2 s.
+on 2 cores (Python 3.11) the exhaustive b=2 run takes 9–18 s with both
+cores and the randomized b=3/4 run 2–3 s.
 """
 
 import os
