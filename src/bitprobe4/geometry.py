@@ -28,7 +28,6 @@ and lines from different superblocks intersect in at most one point.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
@@ -70,7 +69,6 @@ class _lazy:
         return value
 
 
-@dataclass(frozen=True)
 class Params:
     """The constants of one block size b, and the one home of the bit
     positions of tables A, B and C (formulas in `tables.py`) and of their
@@ -79,25 +77,34 @@ class Params:
 
     b >= 2 is required; b = 1 collapses the grid to a single point and the
     superblock structure to a single block, which the scheme does not
-    support.
+    support.  Frozen; equal, and hashed, by b alone.
     """
 
-    b: int
-    grid_side: int = field(init=False, repr=False, compare=False)  # b**2
-    blocks_per_superblock: int = field(init=False, repr=False, compare=False)  # b**4
-    num_blocks: int = field(init=False, repr=False, compare=False)  # b**5
-    universe_size: int = field(init=False, repr=False, compare=False)  # m = b**6
+    def __init__(self, b: int) -> None:
+        if not isinstance(b, int) or isinstance(b, bool):
+            raise TypeError(f"b must be an int, got {type(b).__name__}")
+        if b < 2:
+            raise ValueError(f"b must be >= 2, got {b}")
+        g = b * b
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "grid_side", g)  # b**2
+        object.__setattr__(self, "blocks_per_superblock", g * g)  # b**4
+        object.__setattr__(self, "num_blocks", g * g * b)  # b**5
+        object.__setattr__(self, "universe_size", g * g * g)  # m = b**6
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.b, int) or isinstance(self.b, bool):
-            raise TypeError(f"b must be an int, got {type(self.b).__name__}")
-        if self.b < 2:
-            raise ValueError(f"b must be >= 2, got {self.b}")
-        g = self.b * self.b
-        object.__setattr__(self, "grid_side", g)
-        object.__setattr__(self, "blocks_per_superblock", g * g)
-        object.__setattr__(self, "num_blocks", g * g * self.b)
-        object.__setattr__(self, "universe_size", g * g * g)
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"Params is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return self.b == other.b if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.b,))
+
+    def __repr__(self) -> str:
+        return f"Params(b={self.b!r})"
 
     num_superblocks = property(lambda self: self.b, doc="Number of superblocks: b.")
 
@@ -192,7 +199,8 @@ def element_from_ordinal(p: Params, n: int) -> ElementAddr:
 def element_to_ordinal(p: Params, e: ElementAddr) -> int:
     """Encode an (s, x, y, i) address back to its flat ordinal."""
     validate_element(p, e)
-    return p.a_pos(*e.block) * p.b + e.i
+    blk, i = e
+    return p.a_pos(*blk) * p.b + i
 
 
 def validate_block(p: Params, blk: BlockAddr) -> None:
@@ -207,9 +215,10 @@ def validate_block(p: Params, blk: BlockAddr) -> None:
 
 def validate_element(p: Params, e: ElementAddr) -> None:
     """Raise ValueError unless e is a valid element address for p."""
-    validate_block(p, e.block)
-    if not 0 <= e.i < p.b:
-        raise ValueError(f"block index {e.i} out of range [0, {p.b})")
+    blk, i = e  # by position, so a plain ((s, x, y), i) tuple works too
+    validate_block(p, blk)
+    if not 0 <= i < p.b:
+        raise ValueError(f"block index {i} out of range [0, {p.b})")
 
 
 def line_of(blk: BlockAddr) -> LineRef:

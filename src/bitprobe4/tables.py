@@ -29,7 +29,6 @@ sections; trailing bytes are an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .geometry import BlockAddr, ElementAddr, LineRef, Params, cached_params, line_ordinal
@@ -164,14 +163,22 @@ def c_index(p: Params, x: int, y: int, i: int) -> int:
     return p.c_pos(x, y, i)
 
 
-@dataclass
 class Structure:
-    """The built data structure: parameters plus the three bit tables."""
+    """The parameters and the three bit tables; equal by these fields, unhashable.
+    Not a NamedTuple, whose field reads CPython does not specialise in `query`."""
 
-    params: Params
-    table_a: BitTable
-    table_b: BitTable
-    table_c: BitTable
+    def __init__(self, params: Params, table_a: BitTable, table_b: BitTable, table_c: BitTable):
+        self.params, self.table_a, self.table_b, self.table_c = params, table_a, table_b, table_c
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.params, self.table_a, self.table_b, self.table_c) == (
+            other.params, other.table_a, other.table_b, other.table_c)
+
+    def __repr__(self) -> str:
+        return (f"Structure(params={self.params!r}, table_a={self.table_a!r}, "
+                f"table_b={self.table_b!r}, table_c={self.table_c!r})")
 
     @classmethod
     def empty(cls, p: Params) -> "Structure":

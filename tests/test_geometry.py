@@ -97,6 +97,20 @@ class TestOrdinals:
         with pytest.raises(ValueError):
             element_to_ordinal(p, ElementAddr(BlockAddr(1, 0, 0), 2))
 
+    def test_plain_tuple_addresses(self):
+        p = Params(2)
+        for n in range(p.universe_size):
+            (s, x, y), i = element_from_ordinal(p, n)
+            assert element_to_ordinal(p, ((s, x, y), i)) == n
+        for bad, message in [
+            (((3, 0, 0), 0), "superblock 3 out of range [1, 2]"),
+            (((1, 9, 0), 0), "grid point (9, 0) out of range [0, 4)^2"),
+            (((1, 0, 0), 2), "block index 2 out of range [0, 2)"),
+        ]:
+            with pytest.raises(ValueError) as err:
+                element_to_ordinal(p, bad)
+            assert str(err.value) == message
+
 
 class TestLineOf:
     def test_same_line_shifted_point(self):

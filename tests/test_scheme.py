@@ -304,6 +304,26 @@ class TestQuery:
             assert trace[0][0] == "A" and trace[0][2] == 0
             assert trace[1][0] == "B" and trace[1][2] == 0
 
+    def test_plain_tuple_addresses(self):
+        """Build, group and query take ((s, x, y), i) tuples like the
+        NamedTuple addresses, and reject an invalid one with its bound."""
+        p = Params(2)
+        addr = ElementAddr(BlockAddr(1, 2, 3), 1)
+        plain = ((1, 2, 3), 1)
+        st_ = build(p, [plain])
+        assert st_ == build(p, [addr])
+        assert group_members(p, [plain]) == group_members(p, [addr])
+        assert query(st_, plain) == query(st_, addr)
+        for bad, message in [
+            (((9, 0, 0), 0), "superblock 9 out of range [1, 2]"),
+            (((1, 4, 0), 0), "grid point (4, 0) out of range [0, 4)^2"),
+            (((1, 0, 0), 5), "block index 5 out of range [0, 2)"),
+        ]:
+            for call in (lambda: query(st_, bad), lambda: build(p, [bad])):
+                with pytest.raises(ValueError) as err:
+                    call()
+                assert str(err.value) == message
+
     def test_singleton_yes_and_63_nos(self):
         p = Params(2)
         target = 37
