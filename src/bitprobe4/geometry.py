@@ -114,6 +114,12 @@ class Params:
         b through `cached_params`."""
         return tuple(map(self.b_offset, range(1, self.b + 2)))
 
+    @_lazy
+    def table_sizes(self) -> tuple[int, int, int]:
+        """|A|, |B|, |C| in bits, built on first read; closed form, so O(1)
+        for a hostile b."""
+        return self.num_blocks, self.b_offset(self.b + 1), self.blocks_per_superblock * self.b
+
     def b_offset(self, s: int) -> int:
         """Start of superblock s's line slots in B (s = b + 1 gives |B|)."""
         return self.b * ((self.grid_side - 1) * (s - 1) * (s + 2) // 2 + s - 1)

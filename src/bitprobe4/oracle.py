@@ -23,7 +23,7 @@ import time
 from itertools import combinations, islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .geometry import Params, cached_params, element_from_ordinal
+from .geometry import Params, _new, cached_params, element_from_ordinal
 from .scheme import (
     CaseLabel,
     MAX_MEMBERS,
@@ -35,7 +35,7 @@ from .scheme import (
     build_from_ordinals,
     query,
 )
-from .tables import Structure, size_a, size_b, size_c
+from .tables import Structure
 
 # Full-universe checking is the default up to this b; above it, random
 # verification probes the members plus a seeded non-member sample.
@@ -273,7 +273,7 @@ def _merge(b: int, partials: list[tuple], cap: int, elapsed: float) -> VerifyRep
         failures = failures + f[: cap - len(failures)]
         hist = [x + y for x, y in zip(hist, h)]
     histogram = dict(zip(_CASE_ORDER, hist))
-    return VerifyReport(b, subsets, queries, failures, total, histogram, 0, elapsed)
+    return _new(VerifyReport, (b, subsets, queries, failures, total, histogram, 0, elapsed))
 
 
 def _check_subsets(p: Params, cases: Iterable[tuple], cap: int) -> tuple:
@@ -309,13 +309,9 @@ def _random_chunk(task: tuple[Params, int, int, int, int, int]) -> tuple:
     p, n, seed, lo, hi, cap = task
     m = p.universe_size
     full = p.b <= FULL_CHECK_MAX_B
-
-    def cases():
-        for t in range(lo, hi):
-            combo = draw_subset(seed, t, n, m)
-            yield combo, None if full else _Sample(combo, seed, t, m)
-
-    return _check_subsets(p, cases(), cap)
+    cases = ((c := draw_subset(seed, t, n, m), None if full else _Sample(c, seed, t, m))
+             for t in range(lo, hi))
+    return _check_subsets(p, cases, cap)
 
 
 def _run_tasks(worker, tasks: list, jobs: int) -> list:
@@ -327,7 +323,7 @@ def _run_tasks(worker, tasks: list, jobs: int) -> list:
             ctx = multiprocessing.get_context()
         with ctx.Pool(jobs) as pool:
             return pool.map(worker, tasks)
-    return [worker(t) for t in tasks]
+    return list(map(worker, tasks))
 
 
 def verify_exhaustive(
@@ -361,7 +357,8 @@ def verify_exhaustive(
             f"over the limit of {max_queries}; pass a larger max_queries "
             f"to force it"
         )
-    chunk = max(1000, total_subsets // (jobs * 8) + 1)
+    # Chunks exist only to feed a pool: at jobs=1 each size k is one task.
+    chunk = total_subsets if jobs == 1 else max(1000, total_subsets // (jobs * 8) + 1)
     tasks = []
     for k in range(max_n + 1):
         count = math.comb(m, k)
@@ -397,7 +394,8 @@ def verify_random(
         raise ValueError("failure_cap must be >= 1")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    chunk = max(100, trials // (jobs * 8) + 1)
+    # Chunks exist only to feed a pool: at jobs=1 the run is one task.
+    chunk = trials if jobs == 1 else max(100, trials // (jobs * 8) + 1)
     tasks = [
         (p, n, seed, lo, min(lo + chunk, trials), failure_cap)
         for lo in range(0, trials, chunk)
@@ -425,7 +423,7 @@ def space_audit(b_values: Iterable[int]) -> list[SpaceRow]:
     rows = []
     for b in b_values:
         p = Params(b)
-        a, bb, c = size_a(p), size_b(p), size_c(p)
+        a, bb, c = p.table_sizes
         total = a + bb + c
         rows.append(SpaceRow(b, a, bb, c, total, total / p.num_blocks))
     return rows

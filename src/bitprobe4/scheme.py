@@ -276,10 +276,10 @@ def _classify_sorted(blocks: list[BlockAddr]) -> CaseLabel:
         return CaseLabel.FEWER_THAN_4_BLOCKS
 
     lines = [(s, x - s * y) for s, x, y in blocks]  # `line_of`, as plain tuples
-    line_count = {ln: lines.count(ln) for ln in lines}
-    distinct = len(line_count)
+    distinct = len(set(lines))
     if distinct == 4:
         return CaseLabel.I
+    line_count = {ln: lines.count(ln) for ln in lines}
     if distinct == 1:
         return CaseLabel.II
     if distinct == 2:

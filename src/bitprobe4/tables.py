@@ -127,18 +127,6 @@ class BitTable:
         return f"BitTable(nbits={self.nbits}, ones={list(self.ones())!r})"
 
 
-def size_a(p: Params) -> int:
-    return p.num_blocks
-
-
-def size_b(p: Params) -> int:
-    return p.b_offset(p.b + 1)  # closed form: O(1) for a hostile b
-
-
-def size_c(p: Params) -> int:
-    return p.blocks_per_superblock * p.b
-
-
 def a_index(p: Params, blk: BlockAddr) -> int:
     """Bit position of blk's steering bit in table A."""
     validate_block(p, blk)
@@ -184,7 +172,7 @@ class Structure:
     def empty(cls, p: Params) -> "Structure":
         """All-zero structure, the encoding of the empty set; ValueError,
         before allocating, above MAX_STRUCTURE_BITS."""
-        na, nb, nc = size_a(p), size_b(p), size_c(p)
+        na, nb, nc = p.table_sizes
         if na + nb + nc > MAX_STRUCTURE_BITS:
             raise ValueError(
                 f"b={p.b} needs {na + nb + nc} table bits, over the limit of "
@@ -234,7 +222,7 @@ def deserialize(blob: bytes) -> Structure:
     p = cached_params(b)
     view = memoryview(blob)  # payload slices then copy once, into the tables
     tables = []
-    for name, expect in (("A", size_a(p)), ("B", size_b(p)), ("C", size_c(p))):
+    for name, expect in zip("ABC", p.table_sizes):
         raw_len, pos = _take(blob, pos, 8, f"table {name} bit length")
         nbits = int.from_bytes(raw_len, "little")
         if nbits != expect:

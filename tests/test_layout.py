@@ -33,7 +33,6 @@ from bitprobe4.tables import (
     b_index,
     c_index,
     deserialize,
-    size_b,
 )
 
 B_VALUES = range(2, 6)
@@ -94,9 +93,9 @@ def test_b_positions_and_inverse_agree(b):
             assert pos == b_index(p, l, i) == doc
             assert p.b_line(pos) == (s, anchor, i)
             seen.add(pos)
-    assert seen == set(range(size_b(p)))
+    assert seen == set(range(p.table_sizes[1]))
     assert p.b_offsets == tuple(p.b_offset(s) for s in range(1, b + 2))
-    assert p.b_offsets[-1] == size_b(p)
+    assert p.b_offsets[-1] == p.table_sizes[1]
 
 
 @pytest.mark.parametrize("b", B_VALUES)
@@ -199,7 +198,7 @@ def test_offsets_cache_stays_bounded():
         hits = cached_params.cache_info().hits
         p = cached_params(b)  # the entry deserialize made; offsets shared per b
         assert cached_params.cache_info().hits == hits + 1
-        assert p.b_offsets is cached_params(b).b_offsets and p.b_offsets[-1] == size_b(p)
+        assert p.b_offsets is cached_params(b).b_offsets and p.b_offsets[-1] == p.table_sizes[1]
         assert cached_params.cache_info().currsize <= bound
     assert bound == 32
 
@@ -231,7 +230,7 @@ class TestParamsCache:
 def test_huge_b_builds_no_offsets():
     p = Params(2**63 - 1)
     assert p.universe_size == (2**63 - 1) ** 6
-    assert size_b(p) == p.b_offset(p.b + 1)
+    assert p.table_sizes[1] == p.b_offset(p.b + 1)
     assert "b_offsets" not in vars(p)
 
 

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from bitprobe4 import oracle
+from bitprobe4 import oracle, scheme
 from bitprobe4.geometry import Params, element_from_ordinal
 from bitprobe4.oracle import (
     FeasibilityError,
@@ -189,6 +189,63 @@ class TestKernelMatchesBuild:
     def test_seeded_four_subsets(self, monkeypatch, b, count):
         m = Params(b).universe_size
         self.check(monkeypatch, b, [draw_subset(9, t, 4, m) for t in range(count)])
+
+
+class TestPatchPoints:
+    """`oracle._fill_tables` and `scheme._routing_valid` are read on every
+    build, so a patch of either (tests/test_golden.py) reaches every subset:
+    each subset is filled once, after at least one routing check of its
+    blocks."""
+
+    @pytest.mark.parametrize("run", [
+        lambda: verify_random(2, 50, 3, jobs=1),
+        lambda: verify_exhaustive(2, max_n=2),
+    ], ids=["random", "exhaustive"])
+    def test_every_subset_is_routed_and_filled(self, monkeypatch, run):
+        events = []
+        fill, valid = oracle._fill_tables, scheme._routing_valid
+
+        def counting_fill(p, grouped, asg):
+            events.append(("fill", frozenset(grouped)))
+            return fill(p, grouped, asg)
+
+        def counting_valid(p, non_empty, to_b, to_c):
+            events.append(("route", non_empty))
+            return valid(p, non_empty, to_b, to_c)
+
+        monkeypatch.setattr(oracle, "_fill_tables", counting_fill)
+        monkeypatch.setattr(scheme, "_routing_valid", counting_valid)
+        report = run()
+        fills = [k for k, (kind, _) in enumerate(events) if kind == "fill"]
+        assert len(fills) == report.subsets_checked
+        for prev, k in zip([-1] + fills, fills):
+            blocks = events[k][1]
+            if blocks:
+                assert ("route", blocks) in events[prev + 1 : k]
+
+
+class TestOneJobShape:
+    """At jobs=1 a run is one task (one per size k when exhaustive): chunks
+    only feed a worker pool, and the report does not depend on them."""
+
+    def test_random_is_one_chunk(self, monkeypatch):
+        tasks = []
+        chunk = oracle._random_chunk
+        monkeypatch.setattr(oracle, "_random_chunk", lambda task: tasks.append(task) or chunk(task))
+        report = verify_random(3, 1000, 1, jobs=1)
+        assert [(lo, hi) for _, _, _, lo, hi, _ in tasks] == [(0, 1000)]
+        assert report.subsets_checked == 1000
+
+    def test_exhaustive_is_one_chunk_per_size(self, monkeypatch):
+        tasks = []
+        chunk = oracle._exhaustive_chunk
+        monkeypatch.setattr(oracle, "_exhaustive_chunk", lambda task: tasks.append(task) or chunk(task))
+        serial = verify_exhaustive(2, max_n=3, jobs=1)
+        monkeypatch.undo()  # a pool cannot pickle the lambda
+        assert [(k, lo, hi) for _, k, lo, hi, _ in tasks] == [
+            (k, 0, math.comb(64, k)) for k in range(4)
+        ]
+        assert report_key(serial) == report_key(verify_exhaustive(2, max_n=3, jobs=2))
 
 
 class TestMerge:

@@ -3,6 +3,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bitprobe4 import tables
 from bitprobe4.geometry import BlockAddr, Params, lines_of_superblock, num_lines
 from bitprobe4.oracle import draw_subset
 from bitprobe4.scheme import build_from_ordinals
@@ -21,9 +22,6 @@ from bitprobe4.tables import (
     c_index,
     deserialize,
     serialize,
-    size_a,
-    size_b,
-    size_c,
 )
 
 
@@ -80,14 +78,42 @@ class TestBitTable:
 class TestSizes:
     @pytest.mark.parametrize("b,expected", [(2, 34), (3, 225), (4, 856)])
     def test_table_b_spot_values(self, b, expected):
-        assert size_b(Params(b)) == expected
+        assert Params(b).table_sizes[1] == expected
 
     @pytest.mark.parametrize("b", range(2, 9))
     def test_closed_form_matches_line_sum(self, b):
         p = Params(b)
         by_sum = sum(num_lines(p, s) * b for s in range(1, b + 1))
-        assert size_b(p) == by_sum == closed_form_b_size(b)
-        assert size_a(p) == size_c(p) == b**5
+        size_a, size_b, size_c = p.table_sizes
+        assert size_b == by_sum == closed_form_b_size(b)
+        assert size_a == size_c == b**5
+
+    @pytest.mark.parametrize("b", [54, 10**7])
+    def test_oversized_refused_before_allocating(self, monkeypatch, b):
+        def refuse(nbits):
+            raise AssertionError(f"allocated a table of {nbits} bits")
+
+        monkeypatch.setattr(tables, "BitTable", refuse)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="table bits"):
+            Structure.empty(Params(b))
+        assert time.perf_counter() - start < 0.1
+
+    def test_sizes_read_once_per_params(self):
+        # The sizes are kept on the Params; it stays an immutable value.
+        p = Params(5)
+        sizes = p.table_sizes
+        assert sizes == (5**5, closed_form_b_size(5), 5**5)
+        assert p.table_sizes is sizes
+        fresh = Params(5)
+        assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+        for name in ("table_sizes", "b"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, 3)
+        assert (p.b, p.table_sizes) == (5, sizes)
+        st = Structure.empty(p)
+        assert (st.table_a.nbits, st.table_b.nbits, st.table_c.nbits) == sizes
+        assert st.table_b == BitTable(sizes[1])
 
     def test_offsets_cumulative(self):
         p = Params(3)
@@ -95,7 +121,7 @@ class TestSizes:
         assert offs[0] == 0
         for s in range(1, 4):
             assert offs[s] - offs[s - 1] == num_lines(p, s) * 3
-        assert offs[-1] == size_b(p)
+        assert offs[-1] == p.table_sizes[1]
 
 
 class TestIndexLayouts:
@@ -117,7 +143,7 @@ class TestIndexLayouts:
 
         p = Params(2)
         assert b_index(p, LineRef(1, -3), 0) == 0
-        assert b_index(p, LineRef(2, 3), 1) == 33 == size_b(p) - 1
+        assert b_index(p, LineRef(2, 3), 1) == 33 == p.table_sizes[1] - 1
         assert b_index(p, LineRef(2, -6), 0) == 14
 
     @pytest.mark.parametrize("b", range(2, 7))
@@ -130,7 +156,7 @@ class TestIndexLayouts:
             for x in range(g)
             for y in range(g)
         }
-        assert seen == set(range(size_a(p)))
+        assert seen == set(range(p.table_sizes[0]))
 
     @pytest.mark.parametrize("b", range(2, 7))
     def test_c_index_bijective(self, b):
@@ -142,7 +168,7 @@ class TestIndexLayouts:
             for y in range(g)
             for i in range(b)
         }
-        assert seen == set(range(size_c(p)))
+        assert seen == set(range(p.table_sizes[2]))
 
     @pytest.mark.parametrize("b", range(2, 7))
     def test_b_index_bijective(self, b):
@@ -153,7 +179,7 @@ class TestIndexLayouts:
             for l in lines_of_superblock(p, s)
             for i in range(b)
         }
-        assert seen == set(range(size_b(p)))
+        assert seen == set(range(p.table_sizes[1]))
 
     def test_index_range_errors(self):
         p = Params(2)
