@@ -5,18 +5,7 @@ totalling about 3 * b**5 bits; any membership query reads exactly two bits,
 the second chosen by the first.
 """
 
-from .geometry import (
-    BlockAddr,
-    ElementAddr,
-    LineRef,
-    Params,
-    element_from_ordinal,
-    element_to_ordinal,
-    line_of,
-    line_ordinal,
-    num_lines,
-    points_on_line,
-)
+from .geometry import BlockAddr, ElementAddr, Params, element_from_ordinal, element_to_ordinal
 from .oracle import (
     FeasibilityError,
     FlipAuditReport,
@@ -26,67 +15,32 @@ from .oracle import (
     verify_exhaustive,
     verify_random,
 )
-from .scheme import (
-    Assignment,
-    AssignmentError,
-    CapacityError,
-    CaseLabel,
-    assign_blocks,
-    blocked_status,
-    build,
-    build_from_ordinals,
-    classify,
-    group_members,
-    query,
-)
-from .tables import (
-    BitTable,
-    ParseError,
-    Structure,
-    a_index,
-    b_index,
-    c_index,
-    deserialize,
-    serialize,
-)
+from .scheme import AssignmentError, CapacityError, CaseLabel, build, build_from_ordinals, query
+from .tables import ParseError, Structure, deserialize, serialize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment",
-    "AssignmentError",
-    "BitTable",
-    "BlockAddr",
-    "CapacityError",
-    "CaseLabel",
-    "ElementAddr",
-    "FeasibilityError",
-    "FlipAuditReport",
-    "LineRef",
     "Params",
-    "ParseError",
-    "Structure",
-    "VerifyReport",
-    "a_index",
-    "assign_blocks",
-    "audit_bit_flips",
-    "b_index",
-    "blocked_status",
-    "build",
-    "build_from_ordinals",
-    "c_index",
-    "classify",
-    "deserialize",
+    "BlockAddr",
+    "ElementAddr",
     "element_from_ordinal",
     "element_to_ordinal",
-    "group_members",
-    "line_of",
-    "line_ordinal",
-    "num_lines",
-    "points_on_line",
+    "Structure",
+    "build",
+    "build_from_ordinals",
     "query",
     "serialize",
-    "space_audit",
+    "deserialize",
     "verify_exhaustive",
     "verify_random",
+    "audit_bit_flips",
+    "space_audit",
+    "VerifyReport",
+    "FlipAuditReport",
+    "CaseLabel",
+    "CapacityError",
+    "AssignmentError",
+    "ParseError",
+    "FeasibilityError",
 ]

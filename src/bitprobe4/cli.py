@@ -12,7 +12,7 @@ import sys
 from .geometry import Params, element_from_ordinal
 from .oracle import space_audit, verify_exhaustive, verify_random
 from .scheme import build_from_ordinals, query
-from .tables import deserialize, serialize
+from .tables import MAX_STRUCTURE_BITS, deserialize, serialize
 
 
 def _parse_subset(text: str) -> list[int]:
@@ -80,6 +80,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     lo, hi = _parse_b_range(args.b_range)
     if lo < 2 or hi < lo:
         raise ValueError(f"bad range {lo}..{hi}: need 2 <= LO <= HI")
+    if sum(Params(hi).table_sizes) > MAX_STRUCTURE_BITS:  # before any row is built
+        raise ValueError(f"b={hi} needs over {MAX_STRUCTURE_BITS} table bits (b <= 53)")
     print(f"{'b':>4} {'|A|':>12} {'|B|':>12} {'|C|':>12} {'total':>13} {'total/b^5':>10}")
     for row in space_audit(range(lo, hi + 1)):
         print(

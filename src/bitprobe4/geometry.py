@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 _new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 
@@ -72,8 +72,9 @@ class _lazy:
 class Params:
     """The constants of one block size b, and the one home of the bit
     positions of tables A, B and C (formulas in `tables.py`) and of their
-    inverses.  Position methods do not validate their inputs: `tables`'
-    `a_index`, `b_index` and `c_index` are the checked forms.
+    inverses.  Position methods do not validate their inputs: callers pass
+    addresses already checked by `validate_block`/`validate_element`,
+    `scheme._group_ordinals` or `tables.deserialize`.
 
     b >= 2 is required; b = 1 collapses the grid to a single point and the
     superblock structure to a single block, which the scheme does not
@@ -236,50 +237,14 @@ def line_of(blk: BlockAddr) -> LineRef:
     return LineRef(blk.s, blk.x - blk.s * blk.y)
 
 
-def anchor_bounds(p: Params, s: int) -> tuple[int, int]:
-    """Inclusive-exclusive anchor range [lo, hi) of superblock s's lines."""
+def points_on_line(p: Params, l: LineRef) -> list[tuple[int, int]]:
+    """All grid points (x, y) on line l = (s, anchor), ordered by increasing
+    y.  ValueError unless 1 <= s <= b and -s*(b**2 - 1) <= anchor < b**2:
+    the lines of superblock s, each holding at least one point."""
+    s, anchor = l
     if not 1 <= s <= p.b:
         raise ValueError(f"superblock {s} out of range [1, {p.b}]")
     g = p.grid_side
-    return -s * (g - 1), g
-
-
-def line_blocks(p: Params, l: LineRef) -> range:
-    """Block ordinals n // b (also their table-A positions) of the blocks on
-    line l, ordered by increasing y (`Params.line_blocks`); every in-range
-    anchor yields at least one.
-    """
-    line_ordinal(p, l)  # validates the line
-    return p.line_blocks(*l)
-
-
-def points_on_line(p: Params, l: LineRef) -> list[tuple[int, int]]:
-    """All grid points (x, y) on line l, ordered by increasing y."""
-    g = p.grid_side
-    return [(n % g, n // g % g) for n in line_blocks(p, l)]
-
-
-def num_lines(p: Params, s: int) -> int:
-    """Number of lines covering superblock s: (s + 1)*(b**2 - 1) + 1."""
-    lo, hi = anchor_bounds(p, s)
-    return hi - lo
-
-
-def line_ordinal(p: Params, l: LineRef) -> int:
-    """Dense 0-based position of line l within its superblock's family.
-
-    Anchors are numbered in increasing order, so line (s, a) maps to
-    a + s*(b**2 - 1), a bijection onto [0, num_lines(p, s)).
-    """
-    s, a = l
-    lo_a, hi_a = anchor_bounds(p, s)
-    if not lo_a <= a < hi_a:
-        raise ValueError(f"anchor {a} out of range [{lo_a}, {hi_a})")
-    return a + s * (p.grid_side - 1)
-
-
-def lines_of_superblock(p: Params, s: int) -> Iterator[LineRef]:
-    """Iterate superblock s's lines in anchor order."""
-    lo, hi = anchor_bounds(p, s)
-    for a in range(lo, hi):
-        yield LineRef(s, a)
+    if not -s * (g - 1) <= anchor < g:
+        raise ValueError(f"anchor {anchor} out of range [{-s * (g - 1)}, {g})")
+    return [(n % g, n // g % g) for n in p.line_blocks(s, anchor)]

@@ -222,14 +222,6 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def splitmix64_stream(seed: int) -> Iterator[int]:
-    """Endless stream of 64-bit values from the splitmix64 generator."""
-    state = seed & _MASK64
-    while True:
-        state = (state + _GOLDEN) & _MASK64
-        yield _mix64(state)
-
-
 def draw_subset(seed: int, trial: int, n: int, m: int) -> tuple[int, ...]:
     """The trial-th seeded uniform n-subset of [0, m), sorted."""
     return tuple(sorted(_draw_distinct(seed, trial, 0, n, m, ())))
@@ -242,7 +234,7 @@ def _draw_nonmembers(seed: int, trial: int, count: int, m: int, members: frozens
 
 def _draw_distinct(seed: int, trial: int, salt: int, count: int, m: int, exclude) -> set[int]:
     """`count` distinct values of [0, m) outside `exclude`, drawn without bias
-    (by rejection) from one trial's `splitmix64_stream`, seeded with
+    (by rejection) from one trial's splitmix64 stream, seeded with
     _mix64((seed + trial*_GOLDEN) ^ salt) and inlined into the loop."""
     state = _mix64(((seed + trial * _GOLDEN) ^ salt) & _MASK64)
     limit = (1 << 64) - (1 << 64) % m

@@ -31,8 +31,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .geometry import BlockAddr, ElementAddr, LineRef, Params, cached_params, line_ordinal
-from .geometry import validate_block, validate_element
+from .geometry import Params, cached_params
 
 MAGIC = b"BP42"
 FORMAT_VERSION = 1
@@ -87,17 +86,6 @@ class BitTable:
         if not 0 <= pos < self.nbits:
             raise IndexError(f"bit {pos} out of range [0, {self.nbits})")
 
-    def __getitem__(self, pos: int) -> int:
-        self._check(pos)
-        return (self.data[pos >> 3] >> (pos & 7)) & 1
-
-    def __setitem__(self, pos: int, value: int) -> None:
-        self._check(pos)
-        if value:
-            self.data[pos >> 3] |= 1 << (pos & 7)
-        else:
-            self.data[pos >> 3] &= ~(1 << (pos & 7))
-
     def flip(self, pos: int) -> None:
         self._check(pos)
         self.data[pos >> 3] ^= 1 << (pos & 7)
@@ -125,30 +113,6 @@ class BitTable:
 
     def __repr__(self) -> str:
         return f"BitTable(nbits={self.nbits}, ones={list(self.ones())!r})"
-
-
-def a_index(p: Params, blk: BlockAddr) -> int:
-    """Bit position of blk's steering bit in table A."""
-    validate_block(p, blk)
-    return p.a_pos(*blk)
-
-
-def b_index(p: Params, l: LineRef, i: int) -> int:
-    """Bit position of index i of line l's block in table B."""
-    if not 0 <= i < p.b:
-        raise ValueError(f"block index {i} out of range [0, {p.b})")
-    line_ordinal(p, l)  # validates the line
-    return p.b_slot(*l) + i
-
-
-def c_index(p: Params, x: int, y: int, i: int) -> int:
-    """Bit position of index i of the grid-point (x, y) block in table C.
-
-    Independent of the superblock: all superblocks share the coordinate's
-    slot.
-    """
-    validate_element(p, ElementAddr(BlockAddr(1, x, y), i))  # C is shared by all s
-    return p.c_pos(x, y, i)
 
 
 class Structure:

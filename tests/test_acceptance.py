@@ -10,15 +10,7 @@ from collections import Counter
 
 import pytest
 
-from bitprobe4.geometry import (
-    BlockAddr,
-    Params,
-    anchor_bounds,
-    line_of,
-    lines_of_superblock,
-    num_lines,
-    points_on_line,
-)
+from bitprobe4.geometry import BlockAddr, Params, line_of, points_on_line
 from bitprobe4.oracle import (
     audit_bit_flips,
     draw_subset,
@@ -28,6 +20,7 @@ from bitprobe4.oracle import (
 )
 from bitprobe4.scheme import CaseLabel, build_from_ordinals
 from bitprobe4.tables import deserialize, serialize
+from .reference import anchor_bounds, lines_of_superblock, num_lines
 
 JOBS = int(os.environ.get("BITPROBE4_JOBS", min(os.cpu_count() or 1, 8)))
 

@@ -144,6 +144,10 @@ class TestStatsAndDump:
     def test_stats_bad_range(self, capsys):
         assert run(capsys, "stats", "--b-range", "4..2")[0] == 2
         assert run(capsys, "stats", "--b-range", "garbage")[0] == 2
+        # no structure above b = 53 can be built: refused before any row
+        for text in ("2..54", "2..100000000"):
+            code, out, err = run(capsys, "stats", "--b-range", text)
+            assert (code, out) == (2, "") and "table bits" in err
 
     def test_dump_truncated_file(self, tmp_path, capsys):
         path = tmp_path / "t.bp4"

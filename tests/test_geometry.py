@@ -8,22 +8,18 @@ from bitprobe4.geometry import (
     ElementAddr,
     LineRef,
     Params,
-    anchor_bounds,
     element_from_ordinal,
     element_to_ordinal,
-    line_blocks,
     line_of,
-    line_ordinal,
-    lines_of_superblock,
-    num_lines,
     points_on_line,
 )
+from .reference import anchor_bounds, line_ordinal, lines_of_superblock, num_lines
 
 
 def grid_points_on_line(p: Params, l: LineRef) -> list[tuple[int, int]]:
     """Oracle: enumerate the whole grid instead of solving the line equation."""
-    g = p.grid_side
-    return [(x, y) for y in range(g) for x in range(g) if x - l.s * y == l.anchor]
+    g, (s, anchor) = p.grid_side, l
+    return [(x, y) for y in range(g) for x in range(g) if x - s * y == anchor]
 
 
 class TestParams:
@@ -144,6 +140,9 @@ class TestPointsOnLine:
             points_on_line(p, LineRef(2, 4))
         with pytest.raises(ValueError):
             points_on_line(p, LineRef(2, -7))
+        for s in (0, p.b + 1):
+            with pytest.raises(ValueError, match=f"superblock {s} out of range"):
+                points_on_line(p, LineRef(s, 0))
 
     @pytest.mark.parametrize("b", [2, 3, 4])
     def test_matches_grid_enumeration(self, b):
@@ -159,9 +158,9 @@ class TestPointsOnLine:
         for s in range(1, b + 1):
             for l in lines_of_superblock(p, s):
                 ordinals = [((s - 1) * g + y) * g + x for x, y in points_on_line(p, l)]
-                assert list(line_blocks(p, l)) == ordinals
+                assert list(p.line_blocks(*l)) == ordinals
         with pytest.raises(ValueError):
-            line_blocks(p, LineRef(1, g))
+            points_on_line(p, LineRef(1, g))
 
 
 class TestNumLines:
@@ -169,7 +168,9 @@ class TestNumLines:
         "b,s,expected", [(2, 1, 7), (2, 2, 10), (3, 3, 33)]
     )
     def test_formula(self, b, s, expected):
-        assert num_lines(Params(b), s) == expected
+        p = Params(b)
+        assert num_lines(p, s) == expected
+        assert p.b_offset(s + 1) - p.b_offset(s) == expected * b  # B slots
 
     def test_equals_anchor_count(self):
         for b in range(2, 6):
@@ -198,6 +199,8 @@ class TestLineOrdinal:
         for s in range(1, b + 1):
             ords = [line_ordinal(p, l) for l in lines_of_superblock(p, s)]
             assert ords == list(range(num_lines(p, s)))
+            slots = [p.b_slot(*l) for l in lines_of_superblock(p, s)]
+            assert slots == [p.b_offset(s) + k * b for k in ords]
 
 
 class TestLineFamilyProperties:

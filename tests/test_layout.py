@@ -1,12 +1,12 @@
 """`Params`, the per-b object: one home for the A, B and C bit positions.
 
 Every place that computes a bit position must agree with `Params`: the
-formulas of the `tables.py` docstring, the validated `a_index`, `b_index`
-and `c_index`, the positions in `query`'s trace, the bits `_fill_tables`
-sets, and the inversion in `yes_set`.  Hot loops that inline the
-arithmetic are pinned to `Params` by these checks, over every block,
-line, index and grid point for b = 2..5, and `_group_ordinals`' inline
-decode is pinned to `element_from_ordinal` over every ordinal.
+formulas of the `tables.py` docstring, evaluated with the line ordinals of
+the independent `reference` module, the positions in `query`'s trace, the
+bits `_fill_tables` sets, and the inversion in `yes_set`.  Hot loops that
+inline the arithmetic are pinned to `Params` by these checks, over every
+block, line, index and grid point for b = 2..5, and `_group_ordinals`'
+inline decode is pinned to `element_from_ordinal` over every ordinal.
 """
 
 import re
@@ -21,19 +21,11 @@ from bitprobe4.geometry import (
     Params,
     cached_params,
     element_from_ordinal,
-    line_ordinal,
-    lines_of_superblock,
 )
 from bitprobe4.oracle import yes_set
 from bitprobe4.scheme import Assignment, _fill_tables, _group_ordinals, query
-from bitprobe4.tables import (
-    ParseError,
-    Structure,
-    a_index,
-    b_index,
-    c_index,
-    deserialize,
-)
+from bitprobe4.tables import ParseError, Structure, deserialize
+from .reference import line_ordinal, lines_of_superblock
 
 B_VALUES = range(2, 6)
 
@@ -77,7 +69,7 @@ def test_a_positions_agree(b):
     p = Params(b)
     for blk in blocks(b):
         pos = p.a_pos(*blk)
-        assert pos == a_index(p, blk) == doc_position("A", b, s=blk.s, x=blk.x, y=blk.y)
+        assert pos == doc_position("A", b, s=blk.s, x=blk.x, y=blk.y)
         assert element_from_ordinal(p, pos * b).block == blk  # A(block) = n // b
 
 
@@ -90,7 +82,7 @@ def test_b_positions_and_inverse_agree(b):
         for i in range(b):
             pos = p.b_slot(s, anchor) + i
             doc = doc_position("B", b, s=s, line=l, i=i, line_ordinal=lambda l: line_ordinal(p, l))
-            assert pos == b_index(p, l, i) == doc
+            assert pos == doc
             assert p.b_line(pos) == (s, anchor, i)
             seen.add(pos)
     assert seen == set(range(p.table_sizes[1]))
@@ -105,7 +97,7 @@ def test_c_positions_and_inverse_agree(b):
         readers = [p.a_pos(s, x, y) for s in range(1, b + 1)]
         for i in range(b):
             pos = p.c_pos(x, y, i)
-            assert pos == c_index(p, x, y, i) == doc_position("C", b, x=x, y=y, i=i)
+            assert pos == doc_position("C", b, x=x, y=y, i=i)
             found, j = p.c_blocks(pos)
             assert (list(found), j) == (readers, i)
 

@@ -11,13 +11,13 @@ from bitprobe4.oracle import (
     check_membership,
     draw_subset,
     space_audit,
-    splitmix64_stream,
     verify_exhaustive,
     verify_random,
     yes_set,
 )
 from bitprobe4.scheme import CaseLabel, build, build_from_ordinals, classify, query
 from bitprobe4.tables import serialize
+from .reference import GOLDEN, set_bit, splitmix64_stream
 
 
 def report_key(report):
@@ -67,7 +67,7 @@ class TestCheckMembership:
     def test_failure_cap(self):
         st = build_from_ordinals(Params(2), [])
         for pos in range(st.table_b.nbits):
-            st.table_b[pos] = 1
+            set_bit(st.table_b, pos, 1)
         res = check_membership(st, [], cap=5)
         assert len(res.failures) == 5
         assert res.failures_total > 5
@@ -84,7 +84,7 @@ class TestYesSet:
         stream = splitmix64_stream(b)
         for table in (st.table_a, st.table_b, st.table_c):
             for pos in range(table.nbits):
-                table[pos] = 1 if full and table is not st.table_a else next(stream) & 1
+                set_bit(table, pos, 1 if full and table is not st.table_a else next(stream) & 1)
         expected = {
             n for n in range(p.universe_size) if query(st, element_from_ordinal(p, n))[0]
         }
@@ -102,7 +102,7 @@ class TestYesSet:
         stream = splitmix64_stream(b)
         for table in (dense.table_a, dense.table_b):
             for pos in range(table.nbits):
-                table[pos] = next(stream) & 1
+                set_bit(table, pos, next(stream) & 1)
         calls = []
         b_line = Params.b_line
 
@@ -369,6 +369,21 @@ class TestVerifyRandom:
         stream = splitmix64_stream(0)
         assert next(stream) == 0xE220A8397B1DCDAF
         assert next(stream) == 0x6E789E6AA1B965F4
+
+    @pytest.mark.parametrize("seed,trial", [(0, 0), (1, 5), (42, 999), (-7, 3)])
+    def test_draw_subset_follows_the_splitmix_stream(self, seed, trial):
+        # A trial draws from the stream seeded with the first value of the
+        # stream seeded with seed + (trial - 1)*GOLDEN, rejecting values at
+        # or above the largest multiple of m, so the draw is unbiased.
+        m = 729
+        stream = splitmix64_stream(next(splitmix64_stream(seed + (trial - 1) * GOLDEN)))
+        limit = (1 << 64) - (1 << 64) % m
+        expected = set()
+        while len(expected) < 4:
+            z = next(stream)
+            if z < limit:
+                expected.add(z % m)
+        assert draw_subset(seed, trial, 4, m) == tuple(sorted(expected))
 
 
 class TestSpaceAudit:

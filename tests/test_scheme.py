@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from bitprobe4.geometry import (
     BlockAddr,
     ElementAddr,
-    LineRef,
     Params,
     element_from_ordinal,
     line_of,
@@ -25,7 +24,8 @@ from bitprobe4.scheme import (
     group_members,
     query,
 )
-from bitprobe4.tables import a_index, b_index, c_index, serialize
+from bitprobe4.tables import serialize
+from .reference import get_bit
 
 
 def all_blocks(p: Params):
@@ -259,7 +259,7 @@ class TestBuild:
         asg = assign_blocks(p, grouped.keys())
         st_ = build_from_ordinals(p, ordinals)
         for blk in all_blocks(p):
-            bit = st_.table_a[a_index(p, blk)]
+            bit = get_bit(st_.table_a, p.a_pos(*blk))
             if blk in asg.placed_b:
                 assert bit == 0
             elif blk in asg.placed_c:
@@ -351,12 +351,12 @@ class TestQuery:
             e = element_from_ordinal(p, n)
             _, trace = query(st_, e)
             (t1, p1, v1), (t2, p2, _) = trace
-            assert (t1, p1) == ("A", a_index(p, e.block))
-            assert v1 == st_.table_a[p1]
+            assert (t1, p1) == ("A", p.a_pos(*e.block))
+            assert v1 == get_bit(st_.table_a, p1)
             if v1 == 0:
-                assert (t2, p2) == ("B", b_index(p, line_of(e.block), e.i))
+                assert (t2, p2) == ("B", p.b_slot(*line_of(e.block)) + e.i)
             else:
-                assert (t2, p2) == ("C", c_index(p, e.block.x, e.block.y, e.i))
+                assert (t2, p2) == ("C", p.c_pos(e.block.x, e.block.y, e.i))
 
 
 class TestClassify:

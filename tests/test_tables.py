@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bitprobe4 import tables
-from bitprobe4.geometry import BlockAddr, Params, lines_of_superblock, num_lines
+from bitprobe4.geometry import BlockAddr, ElementAddr, Params
+from bitprobe4.geometry import validate_block, validate_element
 from bitprobe4.oracle import draw_subset
 from bitprobe4.scheme import build_from_ordinals
 from bitprobe4.tables import (
@@ -17,12 +18,10 @@ from bitprobe4.tables import (
     Structure,
     TrailingDataError,
     UnsupportedVersionError,
-    a_index,
-    b_index,
-    c_index,
     deserialize,
     serialize,
 )
+from .reference import get_bit, lines_of_superblock, num_lines, set_bit
 
 
 def closed_form_b_size(b: int) -> int:
@@ -38,34 +37,36 @@ class TestBitTable:
 
     def test_set_get_flip(self):
         t = BitTable(10)
-        t[3] = 1
-        t[9] = 1
-        assert (t[3], t[4], t[9]) == (1, 0, 1)
+        set_bit(t, 3, 1)
+        set_bit(t, 9, 1)
+        assert (get_bit(t, 3), get_bit(t, 4), get_bit(t, 9)) == (1, 0, 1)
+        assert list(t.ones()) == [3, 9]
         t.flip(3)
-        t[9] = 0
+        set_bit(t, 9, 0)
         assert list(t.ones()) == []
 
     def test_bounds_checked(self):
         t = BitTable(8)
         with pytest.raises(IndexError):
-            t[8]
+            t.flip(8)
         with pytest.raises(IndexError):
-            t[-1] = 1
+            t.flip(-1)
         with pytest.raises(IndexError):
             t.flip(100)
 
     def test_lsb_first_packing(self):
         t = BitTable(16)
-        t[0] = 1
-        t[9] = 1
+        t.flip(0)
+        t.flip(9)
         assert bytes(t.data) == bytes([0x01, 0x02])
 
     @given(st.sets(st.integers(0, 63)))
     def test_roundtrip_positions(self, positions):
         t = BitTable(64)
         for pos in positions:
-            t[pos] = 1
+            t.flip(pos)
         assert set(t.ones()) == positions
+        assert {pos for pos in range(64) if get_bit(t, pos)} == positions
 
     @given(st.binary(min_size=1, max_size=40), st.integers(0, 7))
     def test_ones_matches_bitwise_reading(self, raw, short):
@@ -130,28 +131,26 @@ class TestIndexLayouts:
         [(2, (1, 0, 0), 0), (2, (2, 3, 3), 31), (3, (2, 0, 4), 117)],
     )
     def test_a_index_examples(self, b, blk, expected):
-        assert a_index(Params(b), BlockAddr(*blk)) == expected
+        assert Params(b).a_pos(*blk) == expected
 
     @pytest.mark.parametrize(
         "xyi,expected", [((0, 0, 0), 0), ((3, 3, 1), 31), ((1, 2, 0), 18)]
     )
     def test_c_index_examples(self, xyi, expected):
-        assert c_index(Params(2), *xyi) == expected
+        assert Params(2).c_pos(*xyi) == expected
 
     def test_b_index_examples(self):
-        from bitprobe4.geometry import LineRef
-
         p = Params(2)
-        assert b_index(p, LineRef(1, -3), 0) == 0
-        assert b_index(p, LineRef(2, 3), 1) == 33 == p.table_sizes[1] - 1
-        assert b_index(p, LineRef(2, -6), 0) == 14
+        assert p.b_slot(1, -3) == 0
+        assert p.b_slot(2, 3) + 1 == 33 == p.table_sizes[1] - 1
+        assert p.b_slot(2, -6) == 14
 
     @pytest.mark.parametrize("b", range(2, 7))
     def test_a_index_bijective(self, b):
         p = Params(b)
         g = p.grid_side
         seen = {
-            a_index(p, BlockAddr(s, x, y))
+            p.a_pos(s, x, y)
             for s in range(1, b + 1)
             for x in range(g)
             for y in range(g)
@@ -163,7 +162,7 @@ class TestIndexLayouts:
         p = Params(b)
         g = p.grid_side
         seen = {
-            c_index(p, x, y, i)
+            p.c_pos(x, y, i)
             for x in range(g)
             for y in range(g)
             for i in range(b)
@@ -174,7 +173,7 @@ class TestIndexLayouts:
     def test_b_index_bijective(self, b):
         p = Params(b)
         seen = {
-            b_index(p, l, i)
+            p.b_slot(*l) + i
             for s in range(1, b + 1)
             for l in lines_of_superblock(p, s)
             for i in range(b)
@@ -184,11 +183,11 @@ class TestIndexLayouts:
     def test_index_range_errors(self):
         p = Params(2)
         with pytest.raises(ValueError):
-            a_index(p, BlockAddr(0, 0, 0))
+            validate_block(p, BlockAddr(0, 0, 0))
         with pytest.raises(ValueError):
-            c_index(p, 4, 0, 0)
+            validate_element(p, ElementAddr(BlockAddr(1, 4, 0), 0))
         with pytest.raises(ValueError):
-            c_index(p, 0, 0, 2)
+            validate_element(p, ElementAddr(BlockAddr(1, 0, 0), 2))
 
 
 class TestSerialization:

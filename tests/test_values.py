@@ -1,4 +1,4 @@
-"""The package's value classes and what importing the package costs.
+"""The package's value classes, its public names and what importing it costs.
 
 `Params`, `Structure`, `VerifyReport` and `FlipAuditReport` are pinned by
 behaviour (equality, hashing, repr, immutability, field order, report
@@ -6,6 +6,7 @@ text), not by how they are implemented, so that the implementation can
 change without the interface moving.
 """
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -162,14 +163,32 @@ HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 @pytest.mark.parametrize("module", ["bitprobe4", "bitprobe4.cli"])
 def test_import_loads_no_heavy_modules(module):
     """Importing the package or its CLI loads none of `dataclasses` and the
-    modules it pulls in, which cost about 10 ms per process."""
+    modules it pulls in, which cost about 10 ms per process.  `-B`, because
+    `-I` ignores PYTHONDONTWRITEBYTECODE: the run writes no bytecode into
+    the checkout."""
     code = (
         f"import sys; sys.path.insert(0, {str(SRC)!r}); before = set(sys.modules)\n"
         f"import {module}\n"
         "print(' '.join(sorted(set(sys.modules) - before)))"
     )
     out = subprocess.run(
-        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True, timeout=60
+        [sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True, check=True, timeout=60
     ).stdout.split()
     assert "bitprobe4" in out
     assert [name for name in HEAVY if name in out] == []
+
+
+def test_all_is_the_readme_library_api():
+    """`bitprobe4.__all__` is the list under "Library API" in the README, in
+    its order, and every name in it resolves on the package."""
+    readme = (SRC.parent / "README.md").read_text()
+    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    listed = [
+        name
+        for line in section.splitlines()
+        if line.startswith("- ")
+        for name in re.findall(r"`(\w+)`", line.split(":", 1)[0])
+    ]
+    assert bitprobe4.__all__ == listed
+    for name in bitprobe4.__all__:
+        assert getattr(bitprobe4, name).__module__.startswith("bitprobe4.")
