@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .geometry import Params, element_from_ordinal
-from .oracle import space_audit, verify_exhaustive, verify_random
+from .oracle import DEFAULT_MAX_QUERIES, space_audit, verify_exhaustive, verify_random
 from .scheme import build_from_ordinals, query
 from .tables import MAX_STRUCTURE_BITS, deserialize, serialize
 
@@ -66,10 +66,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.exhaustive:
-        kwargs = {}
-        if args.max_queries is not None:
-            kwargs["max_queries"] = args.max_queries
-        report = verify_exhaustive(args.b, args.max_n, jobs=args.jobs, **kwargs)
+        report = verify_exhaustive(args.b, args.max_n, jobs=args.jobs, max_queries=args.max_queries)
     else:
         report = verify_random(args.b, args.trials, args.seed, args.n, jobs=args.jobs)
     print(report.to_csv() if args.csv else report.to_text())
@@ -125,7 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--exhaustive", action="store_true")
     mode.add_argument("--trials", type=int)
     v.add_argument("--max-n", type=int, default=4, help="subset size cap (exhaustive)")
-    v.add_argument("--max-queries", type=int, help="override the feasibility limit")
+    v.add_argument("--max-queries", type=int, default=DEFAULT_MAX_QUERIES,
+                   help="override the feasibility limit")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--n", type=int, default=4, help="subset size (random trials)")
     v.add_argument("--csv", action="store_true")

@@ -20,7 +20,7 @@ import math
 import multiprocessing
 import os
 import time
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .geometry import Params, _new, cached_params, element_from_ordinal
@@ -28,11 +28,11 @@ from .scheme import (
     CaseLabel,
     MAX_MEMBERS,
     ProbeTrace,
-    _assign_sorted,
-    _classify_sorted,
     _fill_tables,
     _group_ordinals,
+    assign_blocks,
     build_from_ordinals,
+    classify,
     query,
 )
 from .tables import Structure
@@ -44,6 +44,9 @@ NONMEMBER_PROBES = 10_000
 
 # Refuse exhaustive runs estimated above this many probes unless overridden.
 DEFAULT_MAX_QUERIES = 1 << 31
+
+# At most this many harmless flips are kept as examples in a flip audit.
+FLIP_EXAMPLE_CAP = 64
 
 _CASE_ORDER = tuple(CaseLabel)
 _CASE_INDEX = {label: k for k, label in enumerate(_CASE_ORDER)}
@@ -269,19 +272,18 @@ def _merge(b: int, partials: list[tuple], cap: int, elapsed: float) -> VerifyRep
 
 
 def _check_subsets(p: Params, cases: Iterable[tuple], cap: int) -> tuple:
-    """Build, classify and check each (subset, probes) case in one pass, its
-    blocks sorted once; probes=None checks the whole universe.  Only a YES set
-    that is not the members goes to `check_membership`.  Returns one partial
-    report for `_merge`."""
+    """Build, classify and check each (subset, probes) case in one pass;
+    probes=None checks the whole universe.  Only a YES set that is not the
+    members goes to `check_membership`.  Returns one partial report for
+    `_merge`."""
     hist = [0] * len(_CASE_ORDER)
     failures: list[Failure] = []
     subsets = queries = failures_total = 0
     m = p.universe_size
     for combo, probes in cases:
         grouped = _group_ordinals(p, combo)
-        blocks = sorted(grouped)
-        hist[_CASE_INDEX[_classify_sorted(blocks)]] += 1
-        st = _fill_tables(p, grouped, _assign_sorted(p, blocks))
+        hist[_CASE_INDEX[classify(p, grouped)]] += 1
+        st = _fill_tables(p, grouped, assign_blocks(p, grouped))
         subsets += 1
         queries += m if probes is None else len(probes)
         if yes_set(st).symmetric_difference(combo):
@@ -292,8 +294,9 @@ def _check_subsets(p: Params, cases: Iterable[tuple], cap: int) -> tuple:
 
 
 def _exhaustive_chunk(task: tuple[Params, int, int, int, int]) -> tuple:
-    p, k, lo, hi, cap = task
-    combos = islice(combinations(range(p.universe_size), k), lo, hi)
+    p, max_n, lo, hi, cap = task
+    sizes = (combinations(range(p.universe_size), k) for k in range(max_n + 1))
+    combos = islice(chain.from_iterable(sizes), lo, hi)
     return _check_subsets(p, ((combo, None) for combo in combos), cap)
 
 
@@ -349,13 +352,12 @@ def verify_exhaustive(
             f"over the limit of {max_queries}; pass a larger max_queries "
             f"to force it"
         )
-    # Chunks exist only to feed a pool: at jobs=1 each size k is one task.
+    # Chunks exist only to feed a pool: at jobs=1 the run is one task.
     chunk = total_subsets if jobs == 1 else max(1000, total_subsets // (jobs * 8) + 1)
-    tasks = []
-    for k in range(max_n + 1):
-        count = math.comb(m, k)
-        for lo in range(0, count, chunk):
-            tasks.append((p, k, lo, min(lo + chunk, count), failure_cap))
+    tasks = [
+        (p, max_n, lo, min(lo + chunk, total_subsets), failure_cap)
+        for lo in range(0, total_subsets, chunk)
+    ]
     start = time.perf_counter()
     partials = _run_tasks(_exhaustive_chunk, tasks, jobs)
     return _merge(b, partials, failure_cap, time.perf_counter() - start)
@@ -459,8 +461,6 @@ def audit_bit_flips(
     b: int,
     structures: int = 100,
     seed: int = 0,
-    *,
-    example_cap: int = 64,
 ) -> FlipAuditReport:
     """Flip every bit of seeded built structures and test detectability.
 
@@ -488,7 +488,7 @@ def audit_bit_flips(
                 table.flip(pos)
                 if changed:
                     detected += 1
-                elif len(examples) < example_cap:
+                elif len(examples) < FLIP_EXAMPLE_CAP:
                     examples.append(FlipOutcome(t, subset, name, pos, False))
     elapsed = time.perf_counter() - start
     return FlipAuditReport(b, structures, flips, detected, flips - detected, examples, elapsed)

@@ -27,7 +27,7 @@ two bits, the first always from table A.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .geometry import BlockAddr, ElementAddr, Params, line_of
 from .geometry import _new, element_to_ordinal, validate_element
@@ -82,13 +82,6 @@ class CaseLabel(Enum):
 class BlockedStatus(NamedTuple):
     b_blocked: bool
     c_blocked: bool
-
-
-def group_members(p: Params, members: Iterable[ElementAddr]) -> dict[BlockAddr, set[int]]:
-    """Group members by block, deduplicating elements: `_group_ordinals` of
-    their ordinals, so an invalid address raises ValueError before the
-    CapacityError of more than MAX_MEMBERS distinct elements."""
-    return _group_ordinals(p, tuple(element_to_ordinal(p, e) for e in members))
 
 
 def _group_ordinals(p: Params, ordinals: Sequence[int]) -> dict[BlockAddr, set[int]]:
@@ -151,30 +144,17 @@ def _routing_valid(
     return True
 
 
-def _sorted_blocks(non_empty: Iterable[BlockAddr]) -> list[BlockAddr]:
-    """The blocks sorted by (s, x, y), checked distinct and at most
-    MAX_MEMBERS: the input of `_classify_sorted` and `_assign_sorted`."""
-    blocks = sorted(non_empty)
-    if len(set(blocks)) != len(blocks):
-        raise ValueError("non-empty blocks must be distinct")
-    if len(blocks) > MAX_MEMBERS:
-        raise CapacityError(f"more than {MAX_MEMBERS} non-empty blocks")
-    return blocks
-
-
 def assign_blocks(p: Params, non_empty: Iterable[BlockAddr]) -> Assignment:
     """Route each non-empty block to table B or C, deterministically.
 
-    Blocks are sorted by (s, x, y); candidate bitmasks k = 0, 1, 2, ... are
-    tried in order, bit j of k sending block j to table C.  The first valid
-    routing wins, so equal block sets always produce equal assignments
-    regardless of member counts inside the blocks.
+    `non_empty` holds distinct blocks, at most MAX_MEMBERS of them, as
+    `_group_ordinals` yields them; they are not checked again.  Blocks are
+    sorted by (s, x, y); candidate bitmasks k = 0, 1, 2, ... are tried in
+    order, bit j of k sending block j to table C.  The first valid routing
+    wins, so equal block sets always produce equal assignments regardless of
+    member counts inside the blocks or the order of `non_empty`.
     """
-    return _assign_sorted(p, _sorted_blocks(non_empty))
-
-
-def _assign_sorted(p: Params, blocks: list[BlockAddr]) -> Assignment:
-    """`assign_blocks` of blocks already in `_sorted_blocks` form."""
+    blocks = sorted(non_empty)
     n = len(blocks)
     block_set = frozenset(blocks)
     if _routing_valid(p, block_set, blocks, []):  # k = 0: all blocks to B
@@ -261,17 +241,14 @@ def query(st: Structure, e: ElementAddr) -> tuple[bool, ProbeTrace]:
     return bool(bit), (("A", a_pos, 0), ("B", pos, bit))
 
 
-def classify(p: Params, non_empty: Iterable[BlockAddr]) -> CaseLabel:
+def classify(p: Params, blocks: Collection[BlockAddr]) -> CaseLabel:
     """Diagnostic case label of a non-empty block configuration.
 
-    A function of the blocks' lines and coordinates only; configurations
-    with fewer than four blocks all share one label.
+    `blocks` is any sized collection of distinct blocks (a list, a set, a
+    dict's keys), not checked; `p` is unused.  The label counts lines and
+    coordinates only, so block order does not change it, and fewer than
+    four blocks all share one label.
     """
-    return _classify_sorted(_sorted_blocks(non_empty))
-
-
-def _classify_sorted(blocks: list[BlockAddr]) -> CaseLabel:
-    """`classify` of blocks already in `_sorted_blocks` form."""
     if len(blocks) < 4:
         return CaseLabel.FEWER_THAN_4_BLOCKS
 

@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from bitprobe4.geometry import BlockAddr, Params, line_of, points_on_line
+from bitprobe4.geometry import BlockAddr, Params, element_from_ordinal, line_of, points_on_line
 from bitprobe4.oracle import (
     audit_bit_flips,
     draw_subset,
@@ -18,7 +18,7 @@ from bitprobe4.oracle import (
     verify_exhaustive,
     verify_random,
 )
-from bitprobe4.scheme import CaseLabel, build_from_ordinals
+from bitprobe4.scheme import CaseLabel, build_from_ordinals, query
 from bitprobe4.tables import deserialize, serialize
 from .reference import anchor_bounds, lines_of_superblock, num_lines
 
@@ -115,14 +115,54 @@ def test_criterion_2_randomized_correctness():
     assert r4.failures_total == 0, r4.failures[:5]
 
 
+def probe_violations(b: int, subsets: int) -> tuple[int, int]:
+    """Query every element of `subsets` seeded 4-subsets at b and count the
+    traces read and those breaking the two-probe rule: first ("A", a_pos),
+    then B at b_slot + i when that A bit is 0 and C at c_pos when it is 1,
+    with the answer equal to the second bit read."""
+    p = Params(b)
+    m = p.universe_size
+    expected = []
+    for n in range(m):
+        e = element_from_ordinal(p, n)
+        (s, x, y), i = e
+        b_pos = p.b_slot(*line_of(e.block)) + i
+        expected.append((e, p.a_pos(s, x, y), (("B", b_pos), ("C", p.c_pos(x, y, i)))))
+    traces = violations = 0
+    for t in range(subsets):
+        st = build_from_ordinals(p, draw_subset(3, t, 4, m))
+        data = {"A": st.table_a.data, "B": st.table_b.data, "C": st.table_c.data}
+        for e, a_pos, second in expected:
+            answer, ((t1, p1, v1), (t2, p2, v2)) = query(st, e)
+            a_bit = data["A"][a_pos >> 3] >> (a_pos & 7) & 1
+            traces += 1
+            violations += not (
+                (t1, p1, v1) == ("A", a_pos, a_bit)
+                and (t2, p2) == second[a_bit]
+                and v2 == data[t2][p2 >> 3] >> (p2 & 7) & 1
+                and answer == bool(v2)
+            )
+    return traces, violations
+
+
 def test_criterion_3_probe_discipline(exhaustive_b2_report):
     r = exhaustive_b2_report
-    ok = r.trace_violations == 0 and r.queries_checked == 43_463_744
+    traces2, bad2 = probe_violations(2, 2_000)
+    traces3, bad3 = probe_violations(3, 200)
+    traces, bad = traces2 + traces3, bad2 + bad3
+    ok = (
+        bad == 0
+        and traces == 2_000 * 64 + 200 * 729
+        and r.trace_violations == 0
+        and r.queries_checked == 43_463_744
+    )
     report_line(
         "3 probe discipline",
         ok,
-        f"{r.queries_checked} traces checked, {r.trace_violations} violations",
+        f"{traces} traces read (b=2: {traces2}, b=3: {traces3}), {bad} violations",
     )
+    assert bad == 0
+    assert traces == 2_000 * 64 + 200 * 729
     assert r.trace_violations == 0
     assert r.queries_checked == 43_463_744
 

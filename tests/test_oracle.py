@@ -225,8 +225,8 @@ class TestPatchPoints:
 
 
 class TestOneJobShape:
-    """At jobs=1 a run is one task (one per size k when exhaustive): chunks
-    only feed a worker pool, and the report does not depend on them."""
+    """At jobs=1 a run is one task: chunks only feed a worker pool, and the
+    report does not depend on them."""
 
     def test_random_is_one_chunk(self, monkeypatch):
         tasks = []
@@ -236,16 +236,28 @@ class TestOneJobShape:
         assert [(lo, hi) for _, _, _, lo, hi, _ in tasks] == [(0, 1000)]
         assert report.subsets_checked == 1000
 
-    def test_exhaustive_is_one_chunk_per_size(self, monkeypatch):
+    def test_exhaustive_is_one_chunk(self, monkeypatch):
         tasks = []
         chunk = oracle._exhaustive_chunk
         monkeypatch.setattr(oracle, "_exhaustive_chunk", lambda task: tasks.append(task) or chunk(task))
         serial = verify_exhaustive(2, max_n=3, jobs=1)
         monkeypatch.undo()  # a pool cannot pickle the lambda
-        assert [(k, lo, hi) for _, k, lo, hi, _ in tasks] == [
-            (k, 0, math.comb(64, k)) for k in range(4)
-        ]
+        total = sum(math.comb(64, k) for k in range(4))
+        assert [(lo, hi) for _, _, lo, hi, _ in tasks] == [(0, total)]
+        assert serial.subsets_checked == total
         assert report_key(serial) == report_key(verify_exhaustive(2, max_n=3, jobs=2))
+
+    def test_two_jobs_at_b8_are_two_tasks_of_100(self, monkeypatch):
+        seen = []
+
+        def in_process(worker, tasks, jobs):
+            seen.append((jobs, [(lo, hi) for _, _, _, lo, hi, _ in tasks]))
+            return list(map(worker, tasks))
+
+        monkeypatch.setattr(oracle, "_run_tasks", in_process)
+        report = verify_random(8, 200, 5, jobs=2)
+        assert seen == [(2, [(0, 100), (100, 200)])]
+        assert report_key(report) == report_key(verify_random(8, 200, 5, jobs=1))
 
 
 class TestMerge:

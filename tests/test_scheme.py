@@ -1,5 +1,6 @@
 import pickle
 import tracemalloc
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,9 @@ from bitprobe4.geometry import (
     BlockAddr,
     ElementAddr,
     Params,
+    cached_params,
     element_from_ordinal,
+    element_to_ordinal,
     line_of,
 )
 from bitprobe4 import scheme
@@ -21,9 +24,9 @@ from bitprobe4.scheme import (
     build,
     build_from_ordinals,
     classify,
-    group_members,
     query,
 )
+from bitprobe4.oracle import draw_subset
 from bitprobe4.tables import serialize
 from .reference import get_bit
 
@@ -52,33 +55,52 @@ def subsets(draw_b=st.integers(2, 3)):
     return strat()
 
 
+def seeded_blocks():
+    """Non-empty blocks of a seeded subset of up to four members at b=2..4,
+    as `_group_ordinals` yields them."""
+
+    @st.composite
+    def strat(draw):
+        p = cached_params(draw(st.integers(2, 4)))
+        n, seed = draw(st.integers(0, 4)), draw(st.integers(0, 2**32))
+        return p, scheme._group_ordinals(p, draw_subset(seed, 0, n, p.universe_size))
+
+    return strat()
+
+
+def orders(grouped):
+    """Every order of a grouping's blocks, then its set and dict-keys forms."""
+    return [*map(list, permutations(grouped)), set(grouped), grouped.keys()]
+
+
 class TestGroupMembers:
+    """Grouping has one entry, `_group_ordinals`; addresses reach it through
+    `build`, which raises their errors."""
+
     def test_empty(self):
-        assert group_members(Params(2), []) == {}
+        assert scheme._group_ordinals(Params(2), ()) == {}
 
     def test_four_members_one_block(self):
         p = Params(4)
         blk = BlockAddr(1, 0, 0)
-        grouped = group_members(p, [ElementAddr(blk, i) for i in range(4)])
-        assert grouped == {blk: {0, 1, 2, 3}}
+        ordinals = [element_to_ordinal(p, ElementAddr(blk, i)) for i in range(4)]
+        assert scheme._group_ordinals(p, ordinals) == {blk: {0, 1, 2, 3}}
 
     def test_duplicates_collapse(self):
         p = Params(2)
         e = ElementAddr(BlockAddr(1, 2, 3), 1)
         others = [ElementAddr(BlockAddr(2, 0, 0), 0), ElementAddr(BlockAddr(2, 1, 0), 0)]
-        grouped = group_members(p, [e, e, e] + others)
+        grouped = scheme._group_ordinals(p, [element_to_ordinal(p, a) for a in [e, e, e] + others])
         assert grouped[BlockAddr(1, 2, 3)] == {1}
         assert len(grouped) == 3
 
     def test_capacity_error(self):
-        p = Params(2)
-        five = [element_from_ordinal(p, n) for n in range(5)]
         with pytest.raises(CapacityError):
-            group_members(p, five)
+            scheme._group_ordinals(Params(2), tuple(range(5)))
 
     def test_invalid_address(self):
         with pytest.raises(ValueError):
-            group_members(Params(2), [ElementAddr(BlockAddr(1, 9, 0), 0)])
+            build(Params(2), [ElementAddr(BlockAddr(1, 9, 0), 0)])
 
     @pytest.mark.parametrize("bad_first", [False, True])
     def test_invalid_element_beats_capacity(self, bad_first):
@@ -90,7 +112,7 @@ class TestGroupMembers:
         bad_ordinal, bad_addr = 64, ElementAddr(BlockAddr(1, 9, 0), 0)
         for call, valid, bad in (
             (build, addrs, bad_addr),
-            (group_members, addrs, bad_addr),
+            (scheme._group_ordinals, ordinals, bad_ordinal),
             (build_from_ordinals, ordinals, bad_ordinal),
         ):
             items = [bad] + valid if bad_first else valid + [bad]
@@ -103,7 +125,10 @@ class TestGroupMembers:
     def test_ordinals_group_like_addresses(self, case):
         b, ordinals = case
         p = Params(b)
-        expected = group_members(p, [element_from_ordinal(p, n) for n in ordinals])
+        expected = {}
+        for n in ordinals:
+            blk, i = element_from_ordinal(p, n)
+            expected.setdefault(blk, set()).add(i)
         grouped = scheme._group_ordinals(p, tuple(ordinals))
         assert grouped == expected
         assert all(type(blk) is BlockAddr for blk in grouped)
@@ -194,16 +219,20 @@ class TestAssignBlocks:
         assert len(pair & asg.placed_c) == 1
         assert asg.placed_b == frozenset([BlockAddr(1, 1, 1), BlockAddr(2, 3, 2)])
 
-    def test_rejects_duplicates(self):
-        p = Params(2)
-        with pytest.raises(ValueError):
-            assign_blocks(p, [BlockAddr(1, 0, 0), BlockAddr(1, 0, 0)])
+    @settings(max_examples=200, deadline=None)
+    @given(seeded_blocks())
+    def test_same_assignment_for_every_order(self, case):
+        p, grouped = case
+        asg = assign_blocks(p, grouped)
+        assert asg.placed_b | asg.placed_c == set(grouped)
+        for blocks in orders(grouped):
+            assert assign_blocks(p, blocks) == asg
 
     @given(subsets())
     def test_invariants_hold(self, case):
         b, ordinals = case
         p = Params(b)
-        grouped = group_members(p, [element_from_ordinal(p, n) for n in ordinals])
+        grouped = scheme._group_ordinals(p, ordinals)
         asg = assign_blocks(p, grouped.keys())
         non_empty = set(grouped)
         assert asg.placed_b | asg.placed_c == non_empty
@@ -255,7 +284,7 @@ class TestBuild:
     def test_a_bits_match_blocked_status(self, case):
         b, ordinals = case
         p = Params(b)
-        grouped = group_members(p, [element_from_ordinal(p, n) for n in ordinals])
+        grouped = scheme._group_ordinals(p, ordinals)
         asg = assign_blocks(p, grouped.keys())
         st_ = build_from_ordinals(p, ordinals)
         for blk in all_blocks(p):
@@ -312,7 +341,7 @@ class TestQuery:
         plain = ((1, 2, 3), 1)
         st_ = build(p, [plain])
         assert st_ == build(p, [addr])
-        assert group_members(p, [plain]) == group_members(p, [addr])
+        assert element_to_ordinal(p, plain) == element_to_ordinal(p, addr)
         assert query(st_, plain) == query(st_, addr)
         for bad, message in [
             (((9, 0, 0), 0), "superblock 9 out of range [1, 2]"),
@@ -360,6 +389,11 @@ class TestQuery:
 
 
 class TestClassify:
+    @staticmethod
+    def labels(p, blocks):
+        """`classify` of every order of `blocks` and of their set and dict forms."""
+        return {classify(p, form) for form in orders(dict.fromkeys(blocks))}
+
     def test_labels_hash_by_identity(self):
         # Histograms are dicts keyed by label, filled in worker processes.
         for label in CaseLabel:
@@ -374,11 +408,11 @@ class TestClassify:
             BlockAddr(3, 1, 7),
             BlockAddr(4, 9, 2),
         ]
-        assert classify(p, blocks) is CaseLabel.I
+        assert self.labels(p, blocks) == {CaseLabel.I}
 
     def test_one_line(self):
         p = Params(2)
-        assert classify(p, [BlockAddr(1, k, k) for k in range(4)]) is CaseLabel.II
+        assert self.labels(p, [BlockAddr(1, k, k) for k in range(4)]) == {CaseLabel.II}
 
     def test_three_one_split(self):
         p = Params(2)
@@ -388,7 +422,7 @@ class TestClassify:
             BlockAddr(1, 2, 2),
             BlockAddr(2, 3, 0),
         ]
-        assert classify(p, blocks) is CaseLabel.IIIA
+        assert self.labels(p, blocks) == {CaseLabel.IIIA}
 
     def test_crossing_pairs_with_coincidence(self):
         p = Params(2)
@@ -398,7 +432,7 @@ class TestClassify:
             BlockAddr(2, 1, 1),
             BlockAddr(2, 3, 2),
         ]
-        assert classify(p, blocks) is CaseLabel.IIIB
+        assert self.labels(p, blocks) == {CaseLabel.IIIB}
 
     def test_three_lines_no_coincidence(self):
         p = Params(2)
@@ -410,7 +444,7 @@ class TestClassify:
         ]
         lines = {line_of(blk) for blk in blocks}
         assert len(lines) == 3
-        assert classify(p, blocks) is CaseLabel.IVD
+        assert self.labels(p, blocks) == {CaseLabel.IVD}
 
     def test_three_lines_one_pair_off_the_double_line(self):
         # pair (1,1,0)/(2,1,0) at (1,0); the leftover singleton (2,3,0) sits
@@ -422,7 +456,7 @@ class TestClassify:
             BlockAddr(2, 1, 0),
             BlockAddr(2, 3, 0),
         ]
-        assert classify(p, blocks) is CaseLabel.IVC_ii
+        assert self.labels(p, blocks) == {CaseLabel.IVC_ii}
 
     def test_three_lines_one_pair_on_the_double_line(self):
         # same pair, but the leftover singleton (2,3,2) lies on x - y = 1
@@ -433,19 +467,18 @@ class TestClassify:
             BlockAddr(2, 1, 0),
             BlockAddr(2, 3, 2),
         ]
-        assert classify(p, blocks) is CaseLabel.IVC_i
+        assert self.labels(p, blocks) == {CaseLabel.IVC_i}
 
     def test_fewer_than_four(self):
         p = Params(2)
         assert classify(p, []) is CaseLabel.FEWER_THAN_4_BLOCKS
         assert classify(p, [BlockAddr(1, 0, 0)]) is CaseLabel.FEWER_THAN_4_BLOCKS
 
-    def test_rejects_duplicates_and_overflow(self):
-        p = Params(2)
-        with pytest.raises(ValueError):
-            classify(p, [BlockAddr(1, 0, 0)] * 2)
-        with pytest.raises(CapacityError):
-            classify(p, [BlockAddr(1, x, 0) for x in range(4)] + [BlockAddr(2, 0, 0)])
+    @settings(max_examples=200, deadline=None)
+    @given(seeded_blocks())
+    def test_label_ignores_block_order(self, case):
+        p, grouped = case
+        assert self.labels(p, grouped) == {classify(p, grouped)}
 
 
 class TestCorrectnessProperty:
