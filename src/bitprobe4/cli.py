@@ -11,7 +11,7 @@ import sys
 
 from .geometry import Params, element_from_ordinal
 from .oracle import DEFAULT_MAX_QUERIES, space_audit, verify_exhaustive, verify_random
-from .scheme import build_from_ordinals, query
+from .scheme import MAX_MEMBERS, build_from_ordinals, query
 from .tables import MAX_STRUCTURE_BITS, deserialize, serialize
 
 
@@ -64,11 +64,27 @@ def cmd_query(args: argparse.Namespace) -> int:
     return 0 if answer else 1
 
 
+def _only_with(mode: str, args: argparse.Namespace, *names: str) -> None:
+    """Refuse any of the named options, which belong to verify's other mode."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name.replace('_', '-')} applies only with {mode}")
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.exhaustive:
-        report = verify_exhaustive(args.b, args.max_n, jobs=args.jobs, max_queries=args.max_queries)
+        _only_with("--trials", args, "seed", "n")
+        report = verify_exhaustive(
+            args.b,
+            MAX_MEMBERS if args.max_n is None else args.max_n,
+            jobs=args.jobs,
+            max_queries=DEFAULT_MAX_QUERIES if args.max_queries is None else args.max_queries,
+        )
     else:
-        report = verify_random(args.b, args.trials, args.seed, args.n, jobs=args.jobs)
+        _only_with("--exhaustive", args, "max_n", "max_queries")
+        seed = 0 if args.seed is None else args.seed
+        n = MAX_MEMBERS if args.n is None else args.n
+        report = verify_random(args.b, args.trials, seed, n, jobs=args.jobs)
     print(report.to_csv() if args.csv else report.to_text())
     return 0 if report.verdict == "PASS" else 1
 
@@ -121,11 +137,11 @@ def _build_parser() -> argparse.ArgumentParser:
     mode = v.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exhaustive", action="store_true")
     mode.add_argument("--trials", type=int)
-    v.add_argument("--max-n", type=int, default=4, help="subset size cap (exhaustive)")
-    v.add_argument("--max-queries", type=int, default=DEFAULT_MAX_QUERIES,
-                   help="override the feasibility limit")
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--n", type=int, default=4, help="subset size (random trials)")
+    v.add_argument("--max-n", type=int, help="subset size cap (exhaustive; default 4)")
+    v.add_argument("--max-queries", type=int,
+                   help="override the feasibility limit (exhaustive)")
+    v.add_argument("--seed", type=int, help="trial seed (random trials; default 0)")
+    v.add_argument("--n", type=int, help="subset size (random trials; default 4)")
     v.add_argument("--csv", action="store_true")
     v.add_argument("--jobs", type=int, default=1)
 

@@ -116,6 +116,14 @@ class Params:
         return tuple(map(self.b_offset, range(1, self.b + 2)))
 
     @_lazy
+    def b_zero(self) -> tuple[int, ...]:
+        """B(line, 0) of line (s, 0) for s = 1, ..., b, built on first read:
+        b_offset(s) + s*(b**2 - 1)*b, the base that `b_slot` and `b_line`
+        add anchor*b to."""
+        w = (self.grid_side - 1) * self.b
+        return tuple(off + s * w for s, off in enumerate(self.b_offsets[:-1], 1))
+
+    @_lazy
     def table_sizes(self) -> tuple[int, int, int]:
         """|A|, |B|, |C| in bits, built on first read; closed form, so O(1)
         for a hostile b."""
@@ -130,8 +138,8 @@ class Params:
         return (s - 1) * self.blocks_per_superblock + y * self.grid_side + x
 
     def b_slot(self, s: int, anchor: int) -> int:
-        """B(line, 0) of line (s, anchor); B(line, i) is i bits further."""
-        return self.b_offsets[s - 1] + (anchor + s * (self.grid_side - 1)) * self.b
+        """B(line, 0) of line (s, anchor); B(line, i) = b_zero[s-1] + anchor*b + i."""
+        return self.b_zero[s - 1] + anchor * self.b
 
     def c_pos(self, x: int, y: int, i: int) -> int:
         return (y * self.grid_side + x) * self.b + i
@@ -154,8 +162,8 @@ class Params:
     def b_line(self, pos: int) -> tuple[int, int, int]:
         """Inverse of B: the line (s, anchor) and index i of B bit pos."""
         s = bisect_right(self.b_offsets, pos)
-        line, i = divmod(pos - self.b_offsets[s - 1], self.b)
-        return s, line - s * (self.grid_side - 1), i
+        anchor, i = divmod(pos - self.b_zero[s - 1], self.b)
+        return s, anchor, i
 
     def c_blocks(self, pos: int) -> tuple[range, int]:
         """Inverse of C: the A positions of the blocks reading C bit pos,
@@ -197,10 +205,10 @@ def element_from_ordinal(p: Params, n: int) -> ElementAddr:
     b, g, m = p.b, p.grid_side, p.universe_size
     if not 0 <= n < m:
         raise ValueError(f"ordinal {n} out of range [0, {m})")
-    q, i = divmod(n, b)
-    q, x = divmod(q, g)
-    sm1, y = divmod(q, g)
-    return _new(ElementAddr, (_new(BlockAddr, (sm1 + 1, x, y)), i))
+    q = n // b  # floor division: `divmod` allocates a tuple per call
+    x = q % g
+    q //= g
+    return _new(ElementAddr, (_new(BlockAddr, (q // g + 1, x, q % g)), n % b))
 
 
 def element_to_ordinal(p: Params, e: ElementAddr) -> int:

@@ -40,6 +40,8 @@ MAX_MEMBERS = 4
 ProbeRecord = tuple[str, int, int]
 ProbeTrace = tuple[ProbeRecord, ProbeRecord]
 
+_BOOL = (False, True)  # a bit's answer by indexing, cheaper than `bool()`
+
 
 class CapacityError(ValueError):
     """Raised when a subset has more than MAX_MEMBERS distinct elements."""
@@ -223,7 +225,9 @@ def query(st: Structure, e: ElementAddr) -> tuple[bool, ProbeTrace]:
 
     Returns the answer and the trace of both probes; the first probe is
     always in table A, the second in B (A bit 0) or C (A bit 1).  The
-    positions are those of `Params.a_pos`, `b_slot` and `c_pos`, inlined.
+    answer is the second bit as `True` or `False`.  The positions are those
+    of `Params.a_pos`, `b_slot` (from `Params.b_zero`) and `c_pos`, still
+    inlined here; `Params` stays their one home.
     """
     p = st.params
     b, g = p.b, p.grid_side
@@ -231,14 +235,13 @@ def query(st: Structure, e: ElementAddr) -> tuple[bool, ProbeTrace]:
     if not (1 <= s <= b and 0 <= x < g and 0 <= y < g and 0 <= i < b):
         validate_element(p, e)  # raises with the precise bound
     a_pos = (s - 1) * p.blocks_per_superblock + y * g + x
-    a_bit = st.table_a.data[a_pos >> 3] >> (a_pos & 7) & 1
-    if a_bit:
+    if st.table_a.data[a_pos >> 3] >> (a_pos & 7) & 1:
         pos = (y * g + x) * b + i
         bit = st.table_c.data[pos >> 3] >> (pos & 7) & 1
-        return bool(bit), (("A", a_pos, 1), ("C", pos, bit))
-    pos = p.b_offsets[s - 1] + (x - s * y + s * (g - 1)) * b + i
+        return _BOOL[bit], (("A", a_pos, 1), ("C", pos, bit))
+    pos = p.b_zero[s - 1] + (x - s * y) * b + i
     bit = st.table_b.data[pos >> 3] >> (pos & 7) & 1
-    return bool(bit), (("A", a_pos, 0), ("B", pos, bit))
+    return _BOOL[bit], (("A", a_pos, 0), ("B", pos, bit))
 
 
 def classify(p: Params, blocks: Collection[BlockAddr]) -> CaseLabel:

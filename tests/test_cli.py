@@ -1,6 +1,8 @@
 import pytest
 
+from bitprobe4 import cli, oracle
 from bitprobe4.cli import main
+from bitprobe4.scheme import MAX_MEMBERS
 
 
 def run(capsys, *argv):
@@ -130,6 +132,44 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--b", "2", *mode, "--jobs", "-3")
         assert code == 2 and out == ""
         assert "jobs must be >= 1" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--trials", "5", "--max-queries", "1", "--max-n", "0"),
+            ("--exhaustive", "--max-n", "1", "--seed", "9", "--n", "3"),
+            ("--trials", "5", "--max-queries", "1"),
+            ("--exhaustive", "--n", "3"),
+        ],
+    )
+    def test_options_of_the_other_mode_refused(self, capsys, argv):
+        code, out, err = run(capsys, "verify", "--b", "2", *argv)
+        assert code == 2 and out == ""
+        assert "applies only with" in err
+
+    def test_each_mode_fills_its_defaults(self, capsys, monkeypatch):
+        calls, report = [], oracle.verify_random(2, 1, 0)
+
+        def fake(*args, **kwargs):
+            calls.append((args, kwargs))
+            return report
+
+        monkeypatch.setattr(cli, "verify_exhaustive", fake)
+        monkeypatch.setattr(cli, "verify_random", fake)
+        assert run(capsys, "verify", "--b", "2", "--exhaustive")[0] == 0
+        assert run(capsys, "verify", "--b", "2", "--trials", "5")[0] == 0
+        assert calls == [
+            ((2, MAX_MEMBERS), {"jobs": 1, "max_queries": oracle.DEFAULT_MAX_QUERIES}),
+            ((2, 5, 0, MAX_MEMBERS), {"jobs": 1}),
+        ]
+
+    def test_each_mode_takes_its_own_options(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--b", "2", "--exhaustive", "--max-n", "1", "--max-queries", "5000", "--csv"
+        )
+        assert code == 0 and out.splitlines()[1].startswith("2,65,4160,0,")
+        code, out, _ = run(capsys, "verify", "--b", "2", "--trials", "5", "--seed", "9", "--n", "3", "--csv")
+        assert code == 0 and out.splitlines()[1].startswith("2,5,320,0,")
 
 
 class TestStatsAndDump:

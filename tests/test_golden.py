@@ -7,8 +7,8 @@ answer for exactly the elements whose second probe reads that bit, which
 pins the kernel's probe positions to the ones `query` reports.  The
 digests below were recorded from the implementation that answered every
 element through `query`, except the clean-run report digests, which were
-recorded from the verifier that built each subset through the public
-`group_members`, `classify` and `assign_blocks`.
+recorded from the verifier that built each subset through
+`_group_ordinals`, `classify` and `assign_blocks`.
 """
 
 import hashlib

@@ -9,6 +9,7 @@ block, line, index and grid point for b = 2..5, and `_group_ordinals`'
 inline decode is pinned to `element_from_ordinal` over every ordinal.
 """
 
+import random
 import re
 
 import pytest
@@ -23,9 +24,9 @@ from bitprobe4.geometry import (
     element_from_ordinal,
 )
 from bitprobe4.oracle import yes_set
-from bitprobe4.scheme import Assignment, _fill_tables, _group_ordinals, query
+from bitprobe4.scheme import Assignment, _fill_tables, _group_ordinals, build_from_ordinals, query
 from bitprobe4.tables import ParseError, Structure, deserialize
-from .reference import line_ordinal, lines_of_superblock
+from .reference import line_ordinal, lines_of_superblock, num_lines
 
 B_VALUES = range(2, 6)
 
@@ -217,6 +218,7 @@ class TestParamsCache:
         with pytest.raises(ParseError):
             deserialize(header)
         assert "b_offsets" not in vars(cached_params(b))
+        assert "b_zero" not in vars(cached_params(b))
 
 
 def test_huge_b_builds_no_offsets():
@@ -224,6 +226,17 @@ def test_huge_b_builds_no_offsets():
     assert p.universe_size == (2**63 - 1) ** 6
     assert p.table_sizes[1] == p.b_offset(p.b + 1)
     assert "b_offsets" not in vars(p)
+    assert "b_zero" not in vars(p)
+
+
+@pytest.mark.parametrize("b", range(2, 9))
+def test_b_zero_is_the_slot_of_anchor_zero(b):
+    p = Params(b)
+    assert "b_zero" not in vars(p)
+    offsets = [sum(num_lines(p, j) * b for j in range(1, s)) for s in range(1, b + 1)]
+    expected = tuple(offsets[s - 1] + line_ordinal(p, (s, 0)) * b for s in range(1, b + 1))
+    assert p.b_zero == expected
+    assert p.b_zero is p.b_zero  # built once, then kept on the instance
 
 
 class TestDecodeContract:
@@ -238,6 +251,23 @@ class TestDecodeContract:
             expected = ElementAddr(BlockAddr(q // g // g + 1, q % g, q // g % g), i)
             assert e == expected and e.block.s == expected.block.s and e.i == i
 
+    @pytest.mark.parametrize("b", range(2, 17))
+    def test_decode_equals_a_quotient_chain(self, b):
+        p = Params(b)
+        g, m = b * b, b**6
+        row = b * g  # ordinals per grid row; grid and superblock edges are row edges
+        edges = {0, b - 1, b, m - 1}
+        for k in range(1, m // row):
+            edges |= {k * row - 1, k * row}
+        rng = random.Random(b)
+        for n in sorted(edges) + [rng.randrange(m) for _ in range(2000)]:
+            q, i = divmod(n, b)
+            q, x = divmod(q, g)
+            q, y = divmod(q, g)
+            e = element_from_ordinal(p, n)
+            assert type(e) is ElementAddr and type(e.block) is BlockAddr
+            assert e == ((q + 1, x, y), i)
+
     @pytest.mark.parametrize("b", [2, 3])
     def test_decode_range_errors(self, b):
         p = Params(b)
@@ -245,6 +275,22 @@ class TestDecodeContract:
         for n in (-1, m):
             with pytest.raises(ValueError, match=re.escape(f"ordinal {n} out of range [0, {m})")):
                 element_from_ordinal(p, n)
+
+    @pytest.mark.parametrize("b", [2, 3])
+    def test_query_answers_are_bools(self, b):
+        p = Params(b)
+        rng = random.Random(b)
+        dense = Structure.empty(p)
+        for table in (dense.table_a, dense.table_b, dense.table_c):
+            table.data[:] = rng.randbytes(len(table.data))
+        seen = set()
+        built = build_from_ordinals(p, rng.sample(range(p.universe_size), 4))
+        for st in (Structure.empty(p), built, dense):
+            for n in range(p.universe_size):
+                answer, (_, (table, _, bit)) = query(st, element_from_ordinal(p, n))
+                assert answer is (bit == 1)
+                seen.add((table, answer))
+        assert seen == {("B", False), ("B", True), ("C", False), ("C", True)}
 
     @pytest.mark.parametrize(
         "e,message",
