@@ -12,7 +12,7 @@ import sys
 from .geometry import Params, element_from_ordinal
 from .oracle import DEFAULT_MAX_QUERIES, space_audit, verify_exhaustive, verify_random
 from .scheme import MAX_MEMBERS, build_from_ordinals, query
-from .tables import MAX_STRUCTURE_BITS, deserialize, serialize
+from .tables import checked_table_sizes, deserialize, serialize
 
 
 def _parse_subset(text: str) -> list[int]:
@@ -93,8 +93,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     lo, hi = _parse_b_range(args.b_range)
     if lo < 2 or hi < lo:
         raise ValueError(f"bad range {lo}..{hi}: need 2 <= LO <= HI")
-    if sum(Params(hi).table_sizes) > MAX_STRUCTURE_BITS:  # before any row is built
-        raise ValueError(f"b={hi} needs over {MAX_STRUCTURE_BITS} table bits (b <= 53)")
+    checked_table_sizes(Params(hi))  # before any row is built
     print(f"{'b':>4} {'|A|':>12} {'|B|':>12} {'|C|':>12} {'total':>13} {'total/b^5':>10}")
     for row in space_audit(range(lo, hi + 1)):
         print(
@@ -121,6 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="build and serialize a structure")
+    b.set_defaults(handler=cmd_build)
     size = b.add_mutually_exclusive_group(required=True)
     size.add_argument("--b", type=int, help="block size parameter (>= 2)")
     size.add_argument("--m", type=int, help="universe size; b = ceil(m^(1/6))")
@@ -128,11 +128,13 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out", required=True, help="output file path")
 
     q = sub.add_parser("query", help="query a serialized structure")
+    q.set_defaults(handler=cmd_query)
     q.add_argument("--in", dest="in_path", required=True)
     q.add_argument("--element", type=int, required=True)
     q.add_argument("--fmt", choices=("plain", "tuple"), default="plain")
 
     v = sub.add_parser("verify", help="run brute-force verification")
+    v.set_defaults(handler=cmd_verify)
     v.add_argument("--b", type=int, required=True)
     mode = v.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exhaustive", action="store_true")
@@ -146,28 +148,21 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--jobs", type=int, default=1)
 
     s = sub.add_parser("stats", help="print exact table sizes per b")
+    s.set_defaults(handler=cmd_stats)
     s.add_argument("--b-range", required=True, help="inclusive range LO..HI")
 
     d = sub.add_parser("dump", help="print the contents of a structure file")
+    d.set_defaults(handler=cmd_dump)
     d.add_argument("--in", dest="in_path", required=True)
 
     return parser
-
-
-_DISPATCH = {
-    "build": cmd_build,
-    "query": cmd_query,
-    "verify": cmd_verify,
-    "stats": cmd_stats,
-    "dump": cmd_dump,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

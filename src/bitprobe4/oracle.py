@@ -35,7 +35,7 @@ from .scheme import (
     classify,
     query,
 )
-from .tables import Structure
+from .tables import Structure, checked_table_sizes
 
 # Full-universe checking is the default up to this b; above it, random
 # verification probes the members plus a seeded non-member sample.
@@ -295,7 +295,9 @@ def _check_subsets(p: Params, cases: Iterable[tuple], cap: int) -> tuple:
 
 def _exhaustive_chunk(task: tuple[Params, int, int, int, int]) -> tuple:
     p, max_n, lo, hi, cap = task
-    sizes = (combinations(range(p.universe_size), k) for k in range(max_n + 1))
+    # Size 0 is not left to `combinations`, which copies its pool, all b**6
+    # ordinals, even for the empty subset.
+    sizes = (combinations(range(p.universe_size), k) if k else [()] for k in range(max_n + 1))
     combos = islice(chain.from_iterable(sizes), lo, hi)
     return _check_subsets(p, ((combo, None) for combo in combos), cap)
 
@@ -321,6 +323,23 @@ def _run_tasks(worker, tasks: list, jobs: int) -> list:
     return list(map(worker, tasks))
 
 
+def _verify(p: Params, worker, head: tuple, total: int, jobs: int, cap: int) -> VerifyReport:
+    """Check subsets 0..total-1 of one source: worker maps a task
+    (p, *head, lo, hi, cap) to the partial report of subsets lo..hi-1.
+    At jobs=1 the run is one task, since chunks only feed a worker pool;
+    otherwise about eight tasks per worker, of at least 100 subsets."""
+    if cap < 1:
+        raise ValueError("failure_cap must be >= 1")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    checked_table_sizes(p)  # before anything is drawn, enumerated or forked
+    chunk = total if jobs == 1 else max(100, total // (jobs * 8) + 1)
+    tasks = [(p, *head, lo, min(lo + chunk, total), cap) for lo in range(0, total, chunk)]
+    start = time.perf_counter()
+    partials = _run_tasks(worker, tasks, jobs)
+    return _merge(p.b, partials, cap, time.perf_counter() - start)
+
+
 def verify_exhaustive(
     b: int,
     max_n: int = MAX_MEMBERS,
@@ -338,10 +357,6 @@ def verify_exhaustive(
     p = cached_params(b)
     if not 0 <= max_n <= MAX_MEMBERS:
         raise ValueError(f"max_n must be in [0, {MAX_MEMBERS}], got {max_n}")
-    if failure_cap < 1:
-        raise ValueError("failure_cap must be >= 1")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     m = p.universe_size
     total_subsets = sum(math.comb(m, k) for k in range(max_n + 1))
     estimate = total_subsets * m
@@ -352,15 +367,7 @@ def verify_exhaustive(
             f"over the limit of {max_queries}; pass a larger max_queries "
             f"to force it"
         )
-    # Chunks exist only to feed a pool: at jobs=1 the run is one task.
-    chunk = total_subsets if jobs == 1 else max(1000, total_subsets // (jobs * 8) + 1)
-    tasks = [
-        (p, max_n, lo, min(lo + chunk, total_subsets), failure_cap)
-        for lo in range(0, total_subsets, chunk)
-    ]
-    start = time.perf_counter()
-    partials = _run_tasks(_exhaustive_chunk, tasks, jobs)
-    return _merge(b, partials, failure_cap, time.perf_counter() - start)
+    return _verify(p, _exhaustive_chunk, (max_n,), total_subsets, jobs, failure_cap)
 
 
 def verify_random(
@@ -374,29 +381,16 @@ def verify_random(
 ) -> VerifyReport:
     """Check seeded uniform n-subsets; same seed gives the same report.
 
-    For b <= 4 every universe element is checked per subset; for larger b
-    the members plus 10,000 seeded non-members are checked.
+    For b <= FULL_CHECK_MAX_B every universe element is checked per
+    subset; for larger b the members plus NONMEMBER_PROBES seeded
+    non-members are checked.
     """
     p = cached_params(b)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= n <= MAX_MEMBERS:
         raise ValueError(f"n must be in [0, {MAX_MEMBERS}], got {n}")
-    if n > p.universe_size:
-        raise ValueError(f"n={n} exceeds universe size {p.universe_size}")
-    if failure_cap < 1:
-        raise ValueError("failure_cap must be >= 1")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    # Chunks exist only to feed a pool: at jobs=1 the run is one task.
-    chunk = trials if jobs == 1 else max(100, trials // (jobs * 8) + 1)
-    tasks = [
-        (p, n, seed, lo, min(lo + chunk, trials), failure_cap)
-        for lo in range(0, trials, chunk)
-    ]
-    start = time.perf_counter()
-    partials = _run_tasks(_random_chunk, tasks, jobs)
-    return _merge(b, partials, failure_cap, time.perf_counter() - start)
+    return _verify(p, _random_chunk, (n, seed), trials, jobs, failure_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +465,7 @@ def audit_bit_flips(
     p = cached_params(b)
     if structures < 1:
         raise ValueError(f"structures must be >= 1, got {structures}")
+    checked_table_sizes(p)  # before the first draw
     m = p.universe_size
     flips = detected = 0
     examples: list[FlipOutcome] = []

@@ -50,6 +50,19 @@ MAX_STRUCTURE_BITS = 1 << 30
 _NONZERO = bytes([0] + [1] * 255)
 
 
+def checked_table_sizes(p: Params) -> tuple[int, int, int]:
+    """p.table_sizes; ValueError when they sum over MAX_STRUCTURE_BITS.
+    Closed form, so callers refuse an oversized b before allocating,
+    drawing or enumerating anything."""
+    sizes = p.table_sizes
+    if sum(sizes) > MAX_STRUCTURE_BITS:
+        raise ValueError(
+            f"b={p.b} needs {sum(sizes)} table bits, over the limit of "
+            f"{MAX_STRUCTURE_BITS} (b <= 53)"
+        )
+    return sizes
+
+
 class ParseError(ValueError):
     """Base class for serialization format violations."""
 
@@ -143,12 +156,7 @@ class Structure:
     def empty(cls, p: Params) -> "Structure":
         """All-zero structure, the encoding of the empty set; ValueError,
         before allocating, above MAX_STRUCTURE_BITS."""
-        na, nb, nc = p.table_sizes
-        if na + nb + nc > MAX_STRUCTURE_BITS:
-            raise ValueError(
-                f"b={p.b} needs {na + nb + nc} table bits, over the limit of "
-                f"{MAX_STRUCTURE_BITS} (b <= 53)"
-            )
+        na, nb, nc = checked_table_sizes(p)
         return cls(p, BitTable(na), BitTable(nb), BitTable(nc))
 
     def total_bits(self) -> int:

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from bitprobe4 import cli, oracle
@@ -162,6 +166,19 @@ class TestVerify:
             ((2, MAX_MEMBERS), {"jobs": 1, "max_queries": oracle.DEFAULT_MAX_QUERIES}),
             ((2, 5, 0, MAX_MEMBERS), {"jobs": 1}),
         ]
+
+    @pytest.mark.parametrize(
+        "mode", [("--trials", "1"), ("--exhaustive", "--max-n", "0", "--max-queries", str(10**41))]
+    )
+    def test_oversized_b_refused_before_any_draw(self, mode):
+        # Drawing from a b**6 > 2**64 universe never ends and enumerating it
+        # overflows, so the run is a child process with a timeout.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        argv = ["verify", "--b", "1626", *mode]
+        code = f"import sys; sys.path.insert(0, {src!r}); from bitprobe4.cli import main; sys.exit(main({argv!r}))"
+        out = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True, timeout=60)
+        assert (out.returncode, out.stdout) == (2, "")
+        assert "table bits" in out.stderr
 
     def test_each_mode_takes_its_own_options(self, capsys):
         code, out, _ = run(

@@ -1,5 +1,9 @@
 import math
+import subprocess
+import sys
+import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -343,6 +347,23 @@ class TestVerifyExhaustive:
         with pytest.raises(ValueError):
             verify_exhaustive(2, max_n=5)
 
+    def test_rejects_zero_failure_cap(self):
+        with pytest.raises(ValueError, match="failure_cap must be >= 1"):
+            verify_exhaustive(2, max_n=1, failure_cap=0)
+        with pytest.raises(ValueError, match="failure_cap must be >= 1"):
+            verify_random(2, trials=5, seed=1, failure_cap=0)
+
+    def test_empty_subset_does_not_copy_the_universe(self):
+        # b=12 has 2,985,984 elements; copying their ordinals peaks near 114 MB.
+        tracemalloc.start()
+        try:
+            report = verify_exhaustive(12, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.subsets_checked, report.queries_checked, report.verdict) == (1, 12**6, "PASS")
+        assert peak <= 5 * 2**20
+
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_rejects_bad_jobs(self, jobs):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
@@ -456,3 +477,12 @@ class TestFlipAudit:
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             audit_bit_flips(2, structures=0)
+
+    def test_oversized_b_refused_before_drawing(self):
+        # Drawing from a b**6 > 2**64 universe never returns, so the call runs
+        # in a child process with a timeout.
+        src = str(Path(oracle.__file__).resolve().parents[1])
+        code = f"import sys; sys.path.insert(0, {src!r}); import bitprobe4.oracle as o; o.audit_bit_flips(2000, 3, seed=1)"
+        out = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True, timeout=60)
+        assert out.returncode == 1
+        assert "ValueError" in out.stderr and "table bits" in out.stderr
