@@ -226,7 +226,8 @@ def _mix64(z: int) -> int:
 
 
 def draw_subset(seed: int, trial: int, n: int, m: int) -> tuple[int, ...]:
-    """The trial-th seeded uniform n-subset of [0, m), sorted."""
+    """The trial-th seeded uniform n-subset of [0, m), sorted; ValueError
+    unless 1 <= m <= 2**64 and n <= m."""
     return tuple(sorted(_draw_distinct(seed, trial, 0, n, m, ())))
 
 
@@ -238,7 +239,15 @@ def _draw_nonmembers(seed: int, trial: int, count: int, m: int, members: frozens
 def _draw_distinct(seed: int, trial: int, salt: int, count: int, m: int, exclude) -> set[int]:
     """`count` distinct values of [0, m) outside `exclude`, drawn without bias
     (by rejection) from one trial's splitmix64 stream, seeded with
-    _mix64((seed + trial*_GOLDEN) ^ salt) and inlined into the loop."""
+    _mix64((seed + trial*_GOLDEN) ^ salt) and inlined into the loop.
+    `exclude` holds values of [0, m).  ValueError, before anything is drawn,
+    unless 1 <= m <= 2**64 and `count` values lie outside `exclude`: above
+    2**64 the rejection limit is 0, and a draw of more values than are free
+    never ends."""
+    if not 0 < m <= 1 << 64:
+        raise ValueError(f"draws need a range [0, m) with 1 <= m <= 2**64, got m={m}")
+    if count > (free := m - len(exclude)):
+        raise ValueError(f"cannot draw {count} distinct values from the {free} of [0, {m}) not excluded")
     state = _mix64(((seed + trial * _GOLDEN) ^ salt) & _MASK64)
     limit = (1 << 64) - (1 << 64) % m
     chosen: set[int] = set()

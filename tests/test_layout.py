@@ -5,10 +5,13 @@ formulas of the `tables.py` docstring, evaluated with the line ordinals of
 the independent `reference` module, the positions in `query`'s trace, the
 bits `_fill_tables` sets, and the inversion in `yes_set`.  Hot loops that
 inline the arithmetic are pinned to `Params` by these checks, over every
-block, line, index and grid point for b = 2..5, and `_group_ordinals`'
-inline decode is pinned to `element_from_ordinal` over every ordinal.
+block, line, index and grid point for every b that has inverse tables and
+the first b above them (b = 2..6), so both the tables and the closed forms
+of `line_blocks` and `b_line` are checked, and `_group_ordinals`' inline
+decode is pinned to `element_from_ordinal` over every ordinal.
 """
 
+import pickle
 import random
 import re
 
@@ -16,6 +19,7 @@ import pytest
 
 from bitprobe4 import tables
 from bitprobe4.geometry import (
+    INVERSE_TABLE_MAX_B,
     BlockAddr,
     ElementAddr,
     LineRef,
@@ -23,12 +27,12 @@ from bitprobe4.geometry import (
     cached_params,
     element_from_ordinal,
 )
-from bitprobe4.oracle import yes_set
+from bitprobe4.oracle import verify_random, yes_set
 from bitprobe4.scheme import Assignment, _fill_tables, _group_ordinals, build_from_ordinals, query
-from bitprobe4.tables import ParseError, Structure, deserialize
+from bitprobe4.tables import ParseError, Structure, deserialize, serialize
 from .reference import line_ordinal, lines_of_superblock, num_lines
 
-B_VALUES = range(2, 6)
+B_VALUES = range(2, INVERSE_TABLE_MAX_B + 2)
 
 
 # The right-hand sides of the position formulas in the `tables.py` docstring.
@@ -237,6 +241,37 @@ def test_b_zero_is_the_slot_of_anchor_zero(b):
     expected = tuple(offsets[s - 1] + line_ordinal(p, (s, 0)) * b for s in range(1, b + 1))
     assert p.b_zero == expected
     assert p.b_zero is p.b_zero  # built once, then kept on the instance
+
+
+class TestInverseTables:
+    """`line_blocks` and `b_line` read one table per b up to
+    INVERSE_TABLE_MAX_B and compute their closed forms above it; the
+    checks above pin both paths to the reference over B_VALUES."""
+
+    @pytest.mark.parametrize("b", range(2, INVERSE_TABLE_MAX_B + 1))
+    def test_small_b_reads_the_table(self, b):
+        p = cached_params(b)
+        for s, anchor in lines(p):
+            assert p.line_blocks(s, anchor) is p.line_blocks(s, anchor) == p._line_blocks(s, anchor)
+        for pos in range(p.table_sizes[1]):
+            assert p.b_line(pos) is p.b_line(pos) == p._b_line(pos)
+
+    def test_no_table_above_the_rule(self):
+        verify_random(8, 20, 1)
+        p = cached_params(16)
+        st = deserialize(serialize(build_from_ordinals(p, [5, 6, 7, 8])))
+        assert query(st, element_from_ordinal(p, 5))[0]
+        assert not query(st, element_from_ordinal(p, 9))[0]
+        for b in (8, 16):
+            assert vars(cached_params(b))["_inverses"] is None
+
+    @pytest.mark.parametrize("p", [Params(2), Params(INVERSE_TABLE_MAX_B), cached_params(3)], ids=repr)
+    def test_pickled_as_b_alone(self, p):
+        p.line_blocks(1, 0)
+        assert vars(p)["_inverses"] is not None
+        data = pickle.dumps(p)
+        assert len(data) < 200
+        assert pickle.loads(data) is cached_params(p.b)
 
 
 class TestDecodeContract:

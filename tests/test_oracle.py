@@ -419,6 +419,38 @@ class TestVerifyRandom:
         assert draw_subset(seed, trial, 4, m) == tuple(sorted(expected))
 
 
+class TestDrawLimits:
+    def test_impossible_draws_refused(self):
+        # A draw from m > 2**64 values, or of more values than lie outside
+        # the exclusions, used to loop forever, so the calls run in a child
+        # process with a timeout.
+        src = str(Path(oracle.__file__).resolve().parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import bitprobe4.oracle as o\n"
+            "for f, args in [(o.draw_subset, (0, 0, 1, 2**65)), (o.draw_subset, (0, 0, 5, 4)),\n"
+            "                (o._draw_nonmembers, (0, 0, 3, 4, frozenset({1, 2})))]:\n"
+            "    try:\n"
+            "        f(*args)\n"
+            "    except ValueError as e:\n"
+            "        print('refused:', e)\n"
+        )
+        out = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [
+            f"refused: draws need a range [0, m) with 1 <= m <= 2**64, got m={2**65}",
+            "refused: cannot draw 5 distinct values from the 4 of [0, 4) not excluded",
+            "refused: cannot draw 3 distinct values from the 2 of [0, 4) not excluded",
+        ]
+
+    def test_draws_at_the_limits(self):
+        assert draw_subset(0, 0, 4, 4) == (0, 1, 2, 3)
+        assert oracle._draw_nonmembers(0, 0, 2, 4, frozenset({1, 2})) == [0, 3]
+        (z,) = draw_subset(0, 0, 1, 2**64)  # no value is rejected
+        assert z == next(splitmix64_stream(next(splitmix64_stream(-GOLDEN))))
+        with pytest.raises(ValueError):
+            draw_subset(0, 0, 0, 0)
+
+
 class TestSpaceAudit:
     def test_spot_rows(self):
         rows = {row.b: row for row in space_audit(range(2, 17))}
