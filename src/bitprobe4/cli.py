@@ -8,11 +8,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import islice
 
 from .geometry import Params, element_from_ordinal
 from .oracle import DEFAULT_MAX_QUERIES, space_audit, verify_exhaustive, verify_random
 from .scheme import MAX_MEMBERS, build_from_ordinals, query
 from .tables import checked_table_sizes, deserialize, serialize
+
+# Set bits `dump` formats and writes at a time.
+DUMP_CHUNK = 1024
 
 
 def _parse_subset(text: str) -> list[int]:
@@ -104,11 +108,19 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_dump(args: argparse.Namespace) -> int:
+    """Print each table's set bits as a list, written DUMP_CHUNK at a time,
+    so memory does not grow with the ones of a dense file."""
     with open(args.in_path, "rb") as fh:
         st = deserialize(fh.read())
-    print(f"b={st.params.b} m={st.params.universe_size}")
+    out = sys.stdout
+    out.write(f"b={st.params.b} m={st.params.universe_size}\n")
     for name, table in (("A", st.table_a), ("B", st.table_b), ("C", st.table_c)):
-        print(f"{name}: {table.nbits} bits, set={list(table.ones())}")
+        out.write(f"{name}: {table.nbits} bits, set=[")
+        ones, sep = map(str, table.ones()), ""
+        while chunk := list(islice(ones, DUMP_CHUNK)):
+            out.write(sep + ", ".join(chunk))
+            sep = ", "
+        out.write("]\n")
     return 0
 
 

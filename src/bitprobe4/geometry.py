@@ -33,12 +33,15 @@ from typing import NamedTuple
 
 _new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 
-# `line_blocks` and `b_line` read a table (`Params._inverses`) up to this b
-# and compute their closed forms above it.  Built once per b and process,
-# the table takes 0.03 ms and 1.4 KiB at b = 2, 1.4 ms and 154 KiB at b = 5,
-# 3.7 ms and 519 KiB at b = 6, and 15.5 ms and 2.3 MiB at b = 8, where one
-# `verify_random(8, 200, jobs=2)` call lasts about 30 ms (2-vCPU VM,
-# Python 3.11).
+# Up to this b, `line_blocks` and `b_line` read a table (`Params._inverses`),
+# and grouping, `scheme._fill_tables` and `oracle.yes_set` read its block
+# table and line masks and handle tables A, B and C as ints; above it, the
+# closed forms are computed on each call and the tables read a byte at a
+# time.  Built once per b and process, the table takes 0.05 ms and 5 KiB at
+# b = 2, 0.3 ms and 33 KiB at b = 3, 1.2 ms and 153 KiB at b = 4, 3.4 ms and
+# 539 KiB at b = 5, 18 ms and 1.7 MiB at b = 6, and 88 ms and 12 MiB at
+# b = 8, where one `verify_random(8, 200, jobs=2)` call lasts about 30 ms
+# (2-vCPU VM, Python 3.11).
 INVERSE_TABLE_MAX_B = 5
 
 
@@ -62,6 +65,28 @@ class LineRef(NamedTuple):
 
     s: int
     anchor: int
+
+
+class _Inverses(NamedTuple):
+    """The small-b table of `Params`.  lines[s - 1][anchor] is line (s,
+    anchor)'s `line_blocks` range: anchors 0 .. b**2 - 1 come first and the
+    negative ones last, so a negative anchor indexes from the end;
+    line_masks holds the same lines, each as one int with a set bit per A
+    position.  b_lines[pos] is `b_line(pos)`; column_mask has a set bit
+    at each A position reading C bit 0 (`c_blocks(0)`), so C bit q*b + i is
+    read at column_mask << q; blocks[q] is the block at A position q."""
+
+    lines: tuple[tuple[range, ...], ...]
+    b_lines: tuple[tuple[int, int, int], ...]
+    line_masks: tuple[tuple[int, ...], ...]
+    column_mask: int
+    blocks: tuple[BlockAddr, ...]
+
+
+def _mask(r: range) -> int:
+    """The int whose set bits are the progression r, in closed form: the
+    repunit 1 + 2**step + ... + 2**(step*(len - 1)), shifted to r.start."""
+    return ((1 << r.step * len(r)) - 1) // ((1 << r.step) - 1) << r.start
 
 
 class _lazy:
@@ -159,12 +184,10 @@ class Params:
         return (y * self.grid_side + x) * self.b + i
 
     @_lazy
-    def _inverses(self) -> tuple | None:
-        """The answers of `line_blocks` and `b_line`, built on first use from
-        their closed forms when b <= INVERSE_TABLE_MAX_B, else None; shared
-        per b through `cached_params`.  lines[s - 1][anchor] is line (s,
-        anchor)'s range: anchors 0 .. b**2 - 1 come first and the negative
-        ones last, so a negative anchor indexes from the end."""
+    def _inverses(self) -> "_Inverses | None":
+        """The small-b table, built on first use from the closed forms when
+        b <= INVERSE_TABLE_MAX_B, else None; shared per b through
+        `cached_params`."""
         if self.b > INVERSE_TABLE_MAX_B:
             return None
         g = self.grid_side
@@ -172,21 +195,27 @@ class Params:
             tuple(self._line_blocks(s, a) for a in (*range(g), *range(-s * (g - 1), 0)))
             for s in range(1, self.b + 1)
         )
-        return lines, tuple(map(self._b_line, range(self.table_sizes[1])))
+        return _Inverses(
+            lines,
+            tuple(map(self._b_line, range(self.table_sizes[1]))),
+            tuple(tuple(map(_mask, family)) for family in lines),
+            _mask(self.c_blocks(0)[0]),
+            tuple(element_from_ordinal(self, q * self.b).block for q in range(self.num_blocks)),
+        )
 
     def line_blocks(self, s: int, anchor: int) -> range:
         """A positions of the blocks on line (s, anchor), by increasing y."""
         inverses = self._inverses
         if inverses is None:
             return self._line_blocks(s, anchor)
-        return inverses[0][s - 1][anchor]
+        return inverses.lines[s - 1][anchor]
 
     def b_line(self, pos: int) -> tuple[int, int, int]:
         """Inverse of B: the line (s, anchor) and index i of B bit pos."""
         inverses = self._inverses
         if inverses is None:
             return self._b_line(pos)
-        return inverses[1][pos]
+        return inverses.b_lines[pos]
 
     def _line_blocks(self, s: int, anchor: int) -> range:
         """`line_blocks` in closed form.

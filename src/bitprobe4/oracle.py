@@ -121,29 +121,61 @@ class VerifyReport(NamedTuple):
 
 def yes_set(st: Structure) -> set[int]:
     """Every ordinal the structure answers YES for, in O(bytes + ones * b**2):
-    one `c_blocks` per 1 bit of C, one `b_line` and one walk of its line
-    per 1 bit of B.
+    one inversion (`c_blocks`) per 1 bit of C, one `b_line` and one walk of
+    its line per 1 bit of B.
 
     A 1 bit of C at c is read by the elements (s - 1)*b**5 + c whose A bit
     is 1; a 1 bit of B at index i of a line's slot is read by index i of
     each block on that line whose A bit is 0 (`geometry.Params` inverts
     both).  A slot holds two 1 bits only when two members share a B-routed
-    block, so the walk is not shared between the bits of one slot.
+    block, so the walk is not shared between the bits of one slot.  Up to
+    INVERSE_TABLE_MAX_B the tables are read once as ints, and the blocks
+    reading a 1 bit are one AND of A with a mask of `Params._inverses`,
+    whose set bits alone are walked; above it, A is read a byte per block.
     """
     p = st.params
     b = p.b
-    ta = st.table_a.data
     yes: set[int] = set()
-    for c in st.table_c.ones():
-        blocks, i = p.c_blocks(c)
-        for a in blocks:
-            if ta[a >> 3] >> (a & 7) & 1:
-                yes.add(a * b + i)
-    for pos in st.table_b.ones():
-        s, anchor, i = p.b_line(pos)
-        for a in p.line_blocks(s, anchor):
-            if not ta[a >> 3] >> (a & 7) & 1:
-                yes.add(a * b + i)
+    inverses = p._inverses
+    if inverses is None:
+        ta = st.table_a.data
+        for c in st.table_c.ones():
+            blocks, i = p.c_blocks(c)
+            for a in blocks:
+                if ta[a >> 3] >> (a & 7) & 1:
+                    yes.add(a * b + i)
+        for pos in st.table_b.ones():
+            s, anchor, i = p.b_line(pos)
+            for a in p.line_blocks(s, anchor):
+                if not ta[a >> 3] >> (a & 7) & 1:
+                    yes.add(a * b + i)
+        return yes
+    _, nb, nc = p.table_sizes
+    ta = int.from_bytes(st.table_a.data, "little")
+    # Bits past |B| and |C| are the last byte's padding, never read.
+    tb = int.from_bytes(st.table_b.data, "little") & (1 << nb) - 1
+    tc = int.from_bytes(st.table_c.data, "little") & (1 << nc) - 1
+    add = yes.add
+    column = inverses.column_mask
+    while tc:
+        low = tc & -tc
+        tc ^= low
+        c = low.bit_length() - 1
+        hits, i = column << c // b & ta, c % b
+        while hits:
+            low = hits & -hits
+            hits ^= low
+            add((low.bit_length() - 1) * b + i)
+    masks, free = inverses.line_masks, ~ta
+    while tb:
+        low = tb & -tb
+        tb ^= low
+        s, anchor, i = p.b_line(low.bit_length() - 1)
+        hits = masks[s - 1][anchor] & free
+        while hits:
+            low = hits & -hits
+            hits ^= low
+            add((low.bit_length() - 1) * b + i)
     return yes
 
 

@@ -31,7 +31,7 @@ from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .geometry import BlockAddr, ElementAddr, Params, line_of
 from .geometry import _new, element_to_ordinal, validate_element
-from .tables import Structure
+from .tables import BitTable, Structure
 
 MAX_MEMBERS = 4
 
@@ -89,9 +89,10 @@ class BlockedStatus(NamedTuple):
 def _group_ordinals(p: Params, ordinals: Sequence[int]) -> dict[BlockAddr, set[int]]:
     """Group flat ordinals by block, deduplicating them: the one home of
     grouping.  Raises ValueError for an ordinal outside [0, b**6), then
-    CapacityError when more than MAX_MEMBERS distinct ordinals remain; each
-    distinct ordinal is decoded with `element_from_ordinal`'s arithmetic,
-    inlined."""
+    CapacityError when more than MAX_MEMBERS distinct ordinals remain.  Up
+    to INVERSE_TABLE_MAX_B each distinct ordinal's block is read from the
+    block table of `Params._inverses`, shared by every subset; above it,
+    it is decoded with `element_from_ordinal`'s arithmetic, inlined."""
     b, g, m = p.b, p.grid_side, p.universe_size
     if ordinals and not (0 <= min(ordinals) and max(ordinals) < m):
         n = next(n for n in ordinals if not 0 <= n < m)
@@ -100,6 +101,13 @@ def _group_ordinals(p: Params, ordinals: Sequence[int]) -> dict[BlockAddr, set[i
     if len(distinct) > MAX_MEMBERS:
         raise CapacityError(f"subset has more than {MAX_MEMBERS} distinct elements")
     grouped: dict[BlockAddr, set[int]] = {}
+    inverses = p._inverses
+    if inverses is not None:
+        blocks = inverses.blocks
+        for n in distinct:
+            q, i = divmod(n, b)
+            grouped.setdefault(blocks[q], set()).add(i)
+        return grouped
     for n in distinct:
         q, i = divmod(n, b)
         q, x = divmod(q, g)
@@ -175,35 +183,56 @@ def assign_blocks(p: Params, non_empty: Iterable[BlockAddr]) -> Assignment:
 def _fill_tables(
     p: Params, grouped: Mapping[BlockAddr, set[int]], asg: Assignment
 ) -> Structure:
-    """Set every bit implied by a routing of the grouped members.
+    """Set every bit implied by a routing of the grouped members, at the
+    positions of `Params`.
 
-    Bits are written straight into the tables' bytes at the positions of
-    `Params`.
+    Empty blocks default to A=0 (table B); blocks on a B-routed block's
+    line are B-blocked and flip to A=1 (table C).  The line's bits include
+    the B-routed block itself, whose own bit is cleared next; no other
+    B-routed block's line reaches it (rule 2).  Up to INVERSE_TABLE_MAX_B
+    the tables are built as ints, a line in one OR of its mask from
+    `Params._inverses`, and each becomes bytes once; above it, bits are
+    written straight into the tables' bytes.
     """
-    st = Structure.empty(p)
-    a, tb, tc = st.table_a.data, st.table_b.data, st.table_c.data
-    # Empty blocks default to A=0 (table B); blocks on a B-routed block's
-    # line are B-blocked and flip to A=1 (table C).  The walk also marks
-    # the B-routed block itself, whose own bit is cleared next; no other
-    # B-routed block's walk reaches it (rule 2).
+    inverses = p._inverses
+    if inverses is None:
+        st = Structure.empty(p)
+        a, tb, tc = st.table_a.data, st.table_b.data, st.table_c.data
+        for blk in asg.placed_b:
+            s, x, y = blk
+            for pos in p.line_blocks(s, x - s * y):
+                a[pos >> 3] |= 1 << (pos & 7)
+            pos = p.a_pos(s, x, y)
+            a[pos >> 3] &= ~(1 << (pos & 7))
+            slot = p.b_slot(s, x - s * y)
+            for i in grouped[blk]:
+                pos = slot + i
+                tb[pos >> 3] |= 1 << (pos & 7)
+        for blk in asg.placed_c:
+            s, x, y = blk
+            pos = p.a_pos(s, x, y)
+            a[pos >> 3] |= 1 << (pos & 7)
+            for i in grouped[blk]:
+                pos = p.c_pos(x, y, i)
+                tc[pos >> 3] |= 1 << (pos & 7)
+        return st
+    masks = inverses.line_masks
+    a = tb = tc = 0
     for blk in asg.placed_b:
         s, x, y = blk
-        for pos in p.line_blocks(s, x - s * y):
-            a[pos >> 3] |= 1 << (pos & 7)
-        pos = p.a_pos(s, x, y)
-        a[pos >> 3] &= ~(1 << (pos & 7))
+        a |= masks[s - 1][x - s * y]
+        a ^= 1 << p.a_pos(s, x, y)  # set by the OR, so this clears it
         slot = p.b_slot(s, x - s * y)
         for i in grouped[blk]:
-            pos = slot + i
-            tb[pos >> 3] |= 1 << (pos & 7)
+            tb |= 1 << slot + i
     for blk in asg.placed_c:
         s, x, y = blk
-        pos = p.a_pos(s, x, y)
-        a[pos >> 3] |= 1 << (pos & 7)
+        a |= 1 << p.a_pos(s, x, y)
         for i in grouped[blk]:
-            pos = p.c_pos(x, y, i)
-            tc[pos >> 3] |= 1 << (pos & 7)
-    return st
+            tc |= 1 << p.c_pos(x, y, i)
+    na, nb, nc = p.table_sizes
+    from_int = BitTable.from_int
+    return Structure(p, from_int(na, a), from_int(nb, tb), from_int(nc, tc))
 
 
 def build(p: Params, members: Iterable[ElementAddr]) -> Structure:

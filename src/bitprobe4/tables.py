@@ -99,6 +99,11 @@ class BitTable:
         self.nbits = nbits
         self.data = data
 
+    @classmethod
+    def from_int(cls, nbits: int, value: int) -> "BitTable":
+        """The table whose bit k is bit k of value, for 0 <= value < 2**nbits."""
+        return cls(nbits, bytearray(value.to_bytes((nbits + 7) // 8, "little")))
+
     def __len__(self) -> int:
         return self.nbits
 
@@ -199,9 +204,13 @@ def deserialize(blob: bytes) -> Structure:
     if b < 2:
         raise ParseError(f"parameter b must be >= 2, got {b}")
     p = cached_params(b)
+    try:
+        sizes = checked_table_sizes(p)  # before any table length is read
+    except ValueError as exc:
+        raise ParseError(f"header: {exc}") from None
     view = memoryview(blob)  # payload slices then copy once, into the tables
     tables = []
-    for name, expect in zip("ABC", p.table_sizes):
+    for name, expect in zip("ABC", sizes):
         raw_len, pos = _take(blob, pos, 8, f"table {name} bit length")
         nbits = int.from_bytes(raw_len, "little")
         if nbits != expect:

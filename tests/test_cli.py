@@ -1,18 +1,35 @@
+import hashlib
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from bitprobe4 import cli, oracle
 from bitprobe4.cli import main
-from bitprobe4.scheme import MAX_MEMBERS
+from bitprobe4.geometry import Params
+from bitprobe4.scheme import MAX_MEMBERS, build_from_ordinals
+from bitprobe4.tables import deserialize, serialize
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_dense(path: Path, b: int) -> None:
+    """A structure file with every bit of every table set."""
+    st = build_from_ordinals(Params(b), [])
+    for table in (st.table_a, st.table_b, st.table_c):
+        table.data[:] = ((1 << table.nbits) - 1).to_bytes(len(table.data), "little")
+    path.write_bytes(serialize(st))
+
+
+class NullSink:
+    def write(self, text: str) -> int:
+        return len(text)
 
 
 class TestBuild:
@@ -205,6 +222,40 @@ class TestStatsAndDump:
         for text in ("2..54", "2..100000000"):
             code, out, err = run(capsys, "stats", "--b-range", text)
             assert (code, out) == (2, "") and "table bits" in err
+
+    def test_dump_of_a_dense_file_is_unchanged(self, tmp_path, capsys):
+        # Each table's set bits print as one list; the digest was recorded
+        # from the dump that formatted list(table.ones()) in one piece.
+        path = tmp_path / "dense3.bp4"
+        write_dense(path, 3)
+        code, out, _ = run(capsys, "dump", "--in", str(path))
+        st = deserialize(path.read_bytes())
+        tables = (("A", st.table_a), ("B", st.table_b), ("C", st.table_c))
+        assert code == 0
+        assert out == "b=3 m=729\n" + "".join(
+            f"{name}: {t.nbits} bits, set={list(t.ones())}\n" for name, t in tables
+        )
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "2b8cd6060461d61470fa587a23cfa5e1efe59146c9fd9cb3f2758ae1a5019148"
+        )
+
+    def test_dump_streams_its_set_bits(self, tmp_path, monkeypatch):
+        path = tmp_path / "dense8.bp4"
+        write_dense(path, 8)
+        table = deserialize(path.read_bytes()).table_a
+        monkeypatch.setattr(sys, "stdout", NullSink())
+        tracemalloc.start()
+        try:
+            # One table's line formatted whole, as a list of its set bits.
+            listed = f"A: {table.nbits} bits, set={list(table.ones())}"
+            whole = tracemalloc.get_traced_memory()[1]
+            del listed
+            tracemalloc.reset_peak()
+            assert main(["dump", "--in", str(path)]) == 0
+            streamed = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert streamed * 5 < whole
 
     def test_dump_truncated_file(self, tmp_path, capsys):
         path = tmp_path / "t.bp4"

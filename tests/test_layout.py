@@ -14,6 +14,7 @@ decode is pinned to `element_from_ordinal` over every ordinal.
 import pickle
 import random
 import re
+from itertools import combinations
 
 import pytest
 
@@ -27,10 +28,17 @@ from bitprobe4.geometry import (
     cached_params,
     element_from_ordinal,
 )
-from bitprobe4.oracle import verify_random, yes_set
-from bitprobe4.scheme import Assignment, _fill_tables, _group_ordinals, build_from_ordinals, query
+from bitprobe4.oracle import draw_subset, verify_random, yes_set
+from bitprobe4.scheme import (
+    Assignment,
+    _fill_tables,
+    _group_ordinals,
+    assign_blocks,
+    build_from_ordinals,
+    query,
+)
 from bitprobe4.tables import ParseError, Structure, deserialize, serialize
-from .reference import line_ordinal, lines_of_superblock, num_lines
+from .reference import line_ordinal, lines_of_superblock, num_lines, set_bit, splitmix64_stream
 
 B_VALUES = range(2, INVERSE_TABLE_MAX_B + 2)
 
@@ -257,11 +265,14 @@ class TestInverseTables:
             assert p.b_line(pos) is p.b_line(pos) == p._b_line(pos)
 
     def test_no_table_above_the_rule(self):
+        # The line masks and the block table are fields of `_inverses`, so
+        # no grouping, fill or YES set above the rule builds them.
         verify_random(8, 20, 1)
         p = cached_params(16)
         st = deserialize(serialize(build_from_ordinals(p, [5, 6, 7, 8])))
         assert query(st, element_from_ordinal(p, 5))[0]
         assert not query(st, element_from_ordinal(p, 9))[0]
+        assert yes_set(st) == {5, 6, 7, 8}
         for b in (8, 16):
             assert vars(cached_params(b))["_inverses"] is None
 
@@ -272,6 +283,59 @@ class TestInverseTables:
         data = pickle.dumps(p)
         assert len(data) < 200
         assert pickle.loads(data) is cached_params(p.b)
+
+
+def byte_path(b: int) -> Params:
+    """A fresh, uncached Params(b) whose small-b table is pre-set to None,
+    so grouping, fill and YES set take the path used above the rule."""
+    p = Params(b)
+    object.__setattr__(p, "_inverses", None)
+    return p
+
+
+class TestTwoPaths:
+    """Up to INVERSE_TABLE_MAX_B, `_group_ordinals`, `_fill_tables` and
+    `yes_set` read the small-b table, A as an int and a line as one mask;
+    with the table pre-set to None they take the byte path, and both paths
+    give the same groups, the same bytes and the same YES sets."""
+
+    def check(self, b, combos):
+        table, closed = cached_params(b), byte_path(b)
+        assert table._inverses is not None
+        for combo in combos:
+            grouped = _group_ordinals(table, combo)
+            assert grouped == _group_ordinals(closed, combo)
+            asg = assign_blocks(table, grouped)
+            st = _fill_tables(table, grouped, asg)
+            assert serialize(st) == serialize(_fill_tables(closed, grouped, asg)), combo
+            on_bytes = Structure(closed, st.table_a, st.table_b, st.table_c)
+            assert yes_set(st) == yes_set(on_bytes) == set(combo), combo
+        assert vars(closed)["_inverses"] is None
+
+    def test_b2_every_subset_up_to_two(self):
+        m = Params(2).universe_size
+        combos = [c for k in range(3) for c in combinations(range(m), k)]
+        assert len(combos) == 1 + 64 + 2016
+        self.check(2, combos)
+
+    @pytest.mark.parametrize("b", range(3, INVERSE_TABLE_MAX_B + 1))
+    def test_seeded_four_subsets(self, b):
+        m = Params(b).universe_size
+        self.check(b, [draw_subset(13, t, 4, m) for t in range(300)])
+
+    @pytest.mark.parametrize("b", range(2, INVERSE_TABLE_MAX_B + 1))
+    @pytest.mark.parametrize("full", [True, False])
+    def test_dense_tables(self, b, full):
+        # As TestYesSet.test_dense_tables: A bits seeded at random, B and C
+        # bits all set or seeded at random.
+        st = build_from_ordinals(cached_params(b), [])
+        stream = splitmix64_stream(b)
+        for t in (st.table_a, st.table_b, st.table_c):
+            for pos in range(t.nbits):
+                set_bit(t, pos, 1 if full and t is not st.table_a else next(stream) & 1)
+        got = yes_set(st)
+        assert 0 < len(got) <= st.params.universe_size
+        assert got == yes_set(Structure(byte_path(b), st.table_a, st.table_b, st.table_c))
 
 
 class TestDecodeContract:

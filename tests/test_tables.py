@@ -268,6 +268,20 @@ class TestSerialization:
                 deserialize(blob)
             assert time.perf_counter() - start < 0.1
 
+    def test_header_over_the_bit_cap_is_refused_at_b(self):
+        # b = 54 is the first b over MAX_STRUCTURE_BITS, which `build`
+        # refuses too; with a valid table-A length the header is refused
+        # for its b, not as a truncated stream.
+        def header(b):
+            return MAGIC + bytes([FORMAT_VERSION]) + b.to_bytes(8, "little") + (b**5).to_bytes(8, "little")
+
+        assert len(header(54)) == 21
+        with pytest.raises(ParseError, match="over the limit of 1073741824") as info:
+            deserialize(header(54))
+        assert not isinstance(info.value, LengthMismatchError)
+        with pytest.raises(LengthMismatchError, match="truncated"):
+            deserialize(header(53))
+
 
 def _seeded_blob(b: int, t: int) -> bytes:
     p = Params(b)
