@@ -33,15 +33,14 @@ from typing import NamedTuple
 
 _new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 
-# Up to this b, `line_blocks` and `b_line` read a table (`Params._inverses`),
-# and grouping, `scheme._fill_tables` and `oracle.yes_set` read its block
-# table and line masks and handle tables A, B and C as ints; above it, the
-# closed forms are computed on each call and the tables read a byte at a
-# time.  Built once per b and process, the table takes 0.05 ms and 5 KiB at
-# b = 2, 0.3 ms and 33 KiB at b = 3, 1.2 ms and 153 KiB at b = 4, 3.4 ms and
-# 539 KiB at b = 5, 18 ms and 1.7 MiB at b = 6, and 88 ms and 12 MiB at
-# b = 8, where one `verify_random(8, 200, jobs=2)` call lasts about 30 ms
-# (2-vCPU VM, Python 3.11).
+# Up to this b, grouping, `scheme._fill_tables` and `oracle.yes_set` read the
+# block table and line masks of `Params._inverses` and handle tables A, B and
+# C as ints; above it, they walk `line_blocks` and `b_line` and read the
+# tables a byte at a time.  Built once per b and process, the table takes
+# 0.04 ms and 3 KiB at b = 2, 0.24 ms and 23 KiB at b = 3, 0.9 ms and 106 KiB
+# at b = 4, 2.7 ms and 385 KiB at b = 5, 6.5 ms and 1.2 MiB at b = 6, and
+# 33 ms and 9.9 MiB at b = 8, where one `verify_random(8, 200, jobs=2)` call
+# lasts about 30 ms (2-vCPU VM, Python 3.11, size under `tracemalloc`).
 INVERSE_TABLE_MAX_B = 5
 
 
@@ -68,17 +67,14 @@ class LineRef(NamedTuple):
 
 
 class _Inverses(NamedTuple):
-    """The small-b table of `Params`.  lines[s - 1][anchor] is line (s,
-    anchor)'s `line_blocks` range: anchors 0 .. b**2 - 1 come first and the
-    negative ones last, so a negative anchor indexes from the end;
-    line_masks holds the same lines, each as one int with a set bit per A
-    position.  b_lines[pos] is `b_line(pos)`; column_mask has a set bit
-    at each A position reading C bit 0 (`c_blocks(0)`), so C bit q*b + i is
-    read at column_mask << q; blocks[q] is the block at A position q."""
+    """The small-b table of `Params`.  line_masks[pos // b] is the line
+    owning B bit pos, as one int with a set bit per A position on it (its
+    `line_blocks`), so the masks follow B's slots: superblock first, then
+    ascending anchor.  column_mask has a set bit at each A position reading
+    C bit 0 (`c_blocks(0)`), so C bit q*b + i is read at column_mask << q;
+    blocks[q] is the block at A position q."""
 
-    lines: tuple[tuple[range, ...], ...]
-    b_lines: tuple[tuple[int, int, int], ...]
-    line_masks: tuple[tuple[int, ...], ...]
+    line_masks: tuple[int, ...]
     column_mask: int
     blocks: tuple[BlockAddr, ...]
 
@@ -190,35 +186,16 @@ class Params:
         `cached_params`."""
         if self.b > INVERSE_TABLE_MAX_B:
             return None
-        g = self.grid_side
-        lines = tuple(
-            tuple(self._line_blocks(s, a) for a in (*range(g), *range(-s * (g - 1), 0)))
-            for s in range(1, self.b + 1)
-        )
+        b = self.b
+        slots = range(0, self.table_sizes[1], b)  # B(line, 0) of every line, in B's order
         return _Inverses(
-            lines,
-            tuple(map(self._b_line, range(self.table_sizes[1]))),
-            tuple(tuple(map(_mask, family)) for family in lines),
+            tuple(_mask(self.line_blocks(*self.b_line(pos)[:2])) for pos in slots),
             _mask(self.c_blocks(0)[0]),
-            tuple(element_from_ordinal(self, q * self.b).block for q in range(self.num_blocks)),
+            tuple(element_from_ordinal(self, q * b).block for q in range(self.num_blocks)),
         )
 
     def line_blocks(self, s: int, anchor: int) -> range:
-        """A positions of the blocks on line (s, anchor), by increasing y."""
-        inverses = self._inverses
-        if inverses is None:
-            return self._line_blocks(s, anchor)
-        return inverses.lines[s - 1][anchor]
-
-    def b_line(self, pos: int) -> tuple[int, int, int]:
-        """Inverse of B: the line (s, anchor) and index i of B bit pos."""
-        inverses = self._inverses
-        if inverses is None:
-            return self._b_line(pos)
-        return inverses.b_lines[pos]
-
-    def _line_blocks(self, s: int, anchor: int) -> range:
-        """`line_blocks` in closed form.
+        """A positions of the blocks on line (s, anchor), by increasing y.
 
         The grid points are the integer solutions of x = anchor + s*y inside
         [0, b**2)^2, so the positions (s - 1)*b**4 + y*b**2 + x form the
@@ -232,8 +209,8 @@ class Params:
         base = (s - 1) * self.blocks_per_superblock + anchor
         return range(base + y_lo * (g + s), base + y_hi * (g + s), g + s)
 
-    def _b_line(self, pos: int) -> tuple[int, int, int]:
-        """`b_line` in closed form."""
+    def b_line(self, pos: int) -> tuple[int, int, int]:
+        """Inverse of B: the line (s, anchor) and index i of B bit pos."""
         s = bisect_right(self.b_offsets, pos)
         anchor, i = divmod(pos - self.b_zero[s - 1], self.b)
         return s, anchor, i

@@ -121,8 +121,8 @@ class VerifyReport(NamedTuple):
 
 def yes_set(st: Structure) -> set[int]:
     """Every ordinal the structure answers YES for, in O(bytes + ones * b**2):
-    one inversion (`c_blocks`) per 1 bit of C, one `b_line` and one walk of
-    its line per 1 bit of B.
+    one inversion (`c_blocks`) per 1 bit of C and one walk of a line per 1
+    bit of B.
 
     A 1 bit of C at c is read by the elements (s - 1)*b**5 + c whose A bit
     is 1; a 1 bit of B at index i of a line's slot is read by index i of
@@ -130,8 +130,10 @@ def yes_set(st: Structure) -> set[int]:
     both).  A slot holds two 1 bits only when two members share a B-routed
     block, so the walk is not shared between the bits of one slot.  Up to
     INVERSE_TABLE_MAX_B the tables are read once as ints, and the blocks
-    reading a 1 bit are one AND of A with a mask of `Params._inverses`,
-    whose set bits alone are walked; above it, A is read a byte per block.
+    reading a 1 bit are one AND of A with a mask of `Params._inverses`
+    (B bit pos reads the mask of its slot, pos // b, at index pos % b),
+    whose set bits alone are walked; above it, `b_line` finds each B bit's
+    line and A is read a byte per block.
     """
     p = st.params
     b = p.b
@@ -170,8 +172,8 @@ def yes_set(st: Structure) -> set[int]:
     while tb:
         low = tb & -tb
         tb ^= low
-        s, anchor, i = p.b_line(low.bit_length() - 1)
-        hits = masks[s - 1][anchor] & free
+        pos = low.bit_length() - 1
+        hits, i = masks[pos // b] & free, pos % b
         while hits:
             low = hits & -hits
             hits ^= low

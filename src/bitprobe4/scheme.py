@@ -91,7 +91,7 @@ def _group_ordinals(p: Params, ordinals: Sequence[int]) -> dict[BlockAddr, set[i
     grouping.  Raises ValueError for an ordinal outside [0, b**6), then
     CapacityError when more than MAX_MEMBERS distinct ordinals remain.  Up
     to INVERSE_TABLE_MAX_B each distinct ordinal's block is read from the
-    block table of `Params._inverses`, shared by every subset; above it,
+    `blocks` field of `Params._inverses`, shared by every subset; above it,
     it is decoded with `element_from_ordinal`'s arithmetic, inlined."""
     b, g, m = p.b, p.grid_side, p.universe_size
     if ordinals and not (0 <= min(ordinals) and max(ordinals) < m):
@@ -190,9 +190,10 @@ def _fill_tables(
     line are B-blocked and flip to A=1 (table C).  The line's bits include
     the B-routed block itself, whose own bit is cleared next; no other
     B-routed block's line reaches it (rule 2).  Up to INVERSE_TABLE_MAX_B
-    the tables are built as ints, a line in one OR of its mask from
-    `Params._inverses`, and each becomes bytes once; above it, bits are
-    written straight into the tables' bytes.
+    the tables are built as ints, a line in one OR of the mask that
+    `Params._inverses` keeps for the block's B slot (slot // b), and each
+    becomes bytes once; above it, bits are written straight into the
+    tables' bytes, a line walked through `line_blocks`.
     """
     inverses = p._inverses
     if inverses is None:
@@ -216,13 +217,13 @@ def _fill_tables(
                 pos = p.c_pos(x, y, i)
                 tc[pos >> 3] |= 1 << (pos & 7)
         return st
-    masks = inverses.line_masks
+    b, masks = p.b, inverses.line_masks
     a = tb = tc = 0
     for blk in asg.placed_b:
         s, x, y = blk
-        a |= masks[s - 1][x - s * y]
-        a ^= 1 << p.a_pos(s, x, y)  # set by the OR, so this clears it
         slot = p.b_slot(s, x - s * y)
+        a |= masks[slot // b]
+        a ^= 1 << p.a_pos(s, x, y)  # set by the OR, so this clears it
         for i in grouped[blk]:
             tb |= 1 << slot + i
     for blk in asg.placed_c:

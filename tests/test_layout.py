@@ -6,9 +6,10 @@ the independent `reference` module, the positions in `query`'s trace, the
 bits `_fill_tables` sets, and the inversion in `yes_set`.  Hot loops that
 inline the arithmetic are pinned to `Params` by these checks, over every
 block, line, index and grid point for every b that has inverse tables and
-the first b above them (b = 2..6), so both the tables and the closed forms
-of `line_blocks` and `b_line` are checked, and `_group_ordinals`' inline
-decode is pinned to `element_from_ordinal` over every ordinal.
+the first b above them (b = 2..6), so both the int path, which reads the
+tables, and the byte path, which walks `line_blocks` and `b_line`, are
+checked, and `_group_ordinals`' inline decode is pinned to
+`element_from_ordinal` over every ordinal.
 """
 
 import pickle
@@ -25,6 +26,7 @@ from bitprobe4.geometry import (
     ElementAddr,
     LineRef,
     Params,
+    _mask,
     cached_params,
     element_from_ordinal,
 )
@@ -252,17 +254,20 @@ def test_b_zero_is_the_slot_of_anchor_zero(b):
 
 
 class TestInverseTables:
-    """`line_blocks` and `b_line` read one table per b up to
-    INVERSE_TABLE_MAX_B and compute their closed forms above it; the
-    checks above pin both paths to the reference over B_VALUES."""
+    """Up to INVERSE_TABLE_MAX_B, `Params._inverses` is one table per b,
+    whose line masks are indexed by B slot; above it, it is None.
+    `line_blocks` and `b_line` are closed forms at every b, pinned to the
+    reference by the checks above."""
 
     @pytest.mark.parametrize("b", range(2, INVERSE_TABLE_MAX_B + 1))
     def test_small_b_reads_the_table(self, b):
         p = cached_params(b)
-        for s, anchor in lines(p):
-            assert p.line_blocks(s, anchor) is p.line_blocks(s, anchor) == p._line_blocks(s, anchor)
+        masks = p._inverses.line_masks
+        assert p._inverses.line_masks is masks  # built once, then kept
+        assert len(masks) * b == p.table_sizes[1]
         for pos in range(p.table_sizes[1]):
-            assert p.b_line(pos) is p.b_line(pos) == p._b_line(pos)
+            s, anchor, _ = p.b_line(pos)
+            assert masks[pos // b] == _mask(p.line_blocks(s, anchor)), pos
 
     def test_no_table_above_the_rule(self):
         # The line masks and the block table are fields of `_inverses`, so
@@ -278,7 +283,7 @@ class TestInverseTables:
 
     @pytest.mark.parametrize("p", [Params(2), Params(INVERSE_TABLE_MAX_B), cached_params(3)], ids=repr)
     def test_pickled_as_b_alone(self, p):
-        p.line_blocks(1, 0)
+        assert p._inverses is not None
         assert vars(p)["_inverses"] is not None
         data = pickle.dumps(p)
         assert len(data) < 200
@@ -295,9 +300,10 @@ def byte_path(b: int) -> Params:
 
 class TestTwoPaths:
     """Up to INVERSE_TABLE_MAX_B, `_group_ordinals`, `_fill_tables` and
-    `yes_set` read the small-b table, A as an int and a line as one mask;
-    with the table pre-set to None they take the byte path, and both paths
-    give the same groups, the same bytes and the same YES sets."""
+    `yes_set` read the small-b table, A as an int and a line as the mask of
+    its B slot; with the table pre-set to None they take the byte path,
+    which walks `line_blocks` and `b_line`, and both paths give the same
+    groups, the same bytes and the same YES sets."""
 
     def check(self, b, combos):
         table, closed = cached_params(b), byte_path(b)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from bitprobe4 import oracle, scheme
-from bitprobe4.geometry import Params, element_from_ordinal
+from bitprobe4.geometry import INVERSE_TABLE_MAX_B, Params, element_from_ordinal
 from bitprobe4.oracle import (
     FeasibilityError,
     audit_bit_flips,
@@ -95,11 +95,13 @@ class TestYesSet:
         assert len(expected) == p.universe_size if full else 0 < len(expected) < p.universe_size
         assert yes_set(st) == expected
 
-    @pytest.mark.parametrize("b", [3, 4])
+    @pytest.mark.parametrize("b", [3, 4, INVERSE_TABLE_MAX_B + 1])
     def test_one_b_line_per_b_bit(self, monkeypatch, b):
-        # yes_set inverts B positions through Params.b_line, once per 1
-        # bit, also where three members share one block and its line slot
-        # and where the dense tables fill every slot with several bits.
+        # Above INVERSE_TABLE_MAX_B, yes_set inverts B positions through
+        # Params.b_line, once per 1 bit, also where three members share one
+        # block and its line slot and where the dense tables fill every
+        # slot with several bits; up to it, it reads the mask of each 1
+        # bit's slot and calls no b_line, with the same answers.
         p = Params(b)
         members = [0, 1, 2, b**5]
         dense = build_from_ordinals(p, [])
@@ -120,7 +122,7 @@ class TestYesSet:
             assert len({b_line(p, pos)[:2] for pos in ones}) < len(ones)
             calls.clear()
             got = yes_set(st)
-            assert calls == ones
+            assert calls == (ones if b > INVERSE_TABLE_MAX_B else [])
             if expected is not None:
                 assert got == expected
 
