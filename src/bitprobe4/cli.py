@@ -2,11 +2,14 @@
 
 Exit codes are a stable contract for CI: 0 for success (PASS / YES),
 1 for a negative result (NO, or a verification FAIL), 2 for any error.
+A reader that closes stdout after a command has returned is no error.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from itertools import islice
 
@@ -174,10 +177,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
+    try:
+        sys.stdout.flush()
+    except OSError as exc:  # drop the rest, so the interpreter's last flush succeeds
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        if exc.errno != errno.EPIPE:  # EPIPE: the reader has gone, which is no error
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+    return code
 
 
 if __name__ == "__main__":

@@ -7,10 +7,10 @@ verification enumerates every subset up to the size cap and checks every
 universe element; randomized verification draws seeded subsets from a
 splitmix64 stream, so identical seeds reproduce identical reports on any
 platform.  Above b = 4 it probes the members plus a seeded non-member
-sample, drawn only when some non-member is answered YES (otherwise the
-sample cannot change the report).  Subset checks are independent and can
-be spread over worker processes; partial results merge in enumeration
-order, so the report does not depend on the worker count.
+sample, drawn only if a non-member answers YES, as only then can it change
+the report.  Subset checks are independent and can be spread over worker
+processes; partial results merge in enumeration order under one failure
+cap, so the report does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import multiprocessing
 import os
 import time
 from itertools import chain, combinations, islice
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .geometry import Params, _new, cached_params, element_from_ordinal
 from .scheme import (
@@ -181,23 +181,6 @@ def yes_set(st: Structure) -> set[int]:
     return yes
 
 
-class _Sample:
-    """Probes of one sampled trial, all in range: the members, then
-    NONMEMBER_PROBES seeded non-members, drawn only when iterated."""
-
-    def __init__(self, members: tuple[int, ...], seed: int, trial: int, m: int):
-        self.members, self.seed, self.trial, self.m = members, seed, trial, m
-
-    def __len__(self) -> int:
-        return len(self.members) + NONMEMBER_PROBES
-
-    def __iter__(self) -> Iterator[int]:
-        yield from self.members
-        yield from _draw_nonmembers(
-            self.seed, self.trial, NONMEMBER_PROBES, self.m, frozenset(self.members)
-        )
-
-
 def check_membership(
     st: Structure,
     members: Iterable[int],
@@ -210,10 +193,10 @@ def check_membership(
     raises ValueError; probes=None checks the whole universe in ascending
     order, a probe sequence is checked in its order, duplicates included.
     The wrong answers are `yes_set(st) ^ members`, so probes cost one set
-    lookup each, and nothing when no answer is wrong.  They are recorded up
-    to `cap` with `scheme.query`'s trace as evidence.  Every answer reads
-    one A bit, then one B or C bit, so `trace_violations` is 0 by
-    construction.
+    lookup each, and nothing when no answer is wrong.  All are counted; the
+    first `cap` (all for None) are recorded with `scheme.query`'s trace as
+    evidence.  Every answer reads one A bit, then one B or C bit, so
+    `trace_violations` is 0 by construction.
     """
     p = st.params
     m = p.universe_size
@@ -225,12 +208,9 @@ def check_membership(
         queries = m
         hits: Iterable[int] = sorted(wrong)
     else:
-        queries = len(probes)
-        if isinstance(probes, _Sample):
-            if wrong <= mem:  # the drawn non-members cannot fail
-                probes = probes.members
-        elif probes and not (0 <= min(probes) and max(probes) < m):
+        if probes and not (0 <= min(probes) and max(probes) < m):
             raise ValueError(f"probe ordinals must lie in [0, {m})")
+        queries = len(probes)
         hits = filter(wrong.__contains__, probes) if wrong else ()
     subset_key = tuple(sorted(mem))
     failures: list[Failure] = []
@@ -315,24 +295,28 @@ def _merge(b: int, partials: list[tuple], cap: int, elapsed: float) -> VerifyRep
 
 
 def _check_subsets(p: Params, cases: Iterable[tuple], cap: int) -> tuple:
-    """Build, classify and check each (subset, probes) case in one pass;
-    probes=None checks the whole universe.  Only a YES set that is not the
-    members goes to `check_membership`.  Returns one partial report for
-    `_merge`."""
+    """Build, classify and check each (subset, sample) case in one pass;
+    sample=None probes the universe, (seed, trial) the members and that
+    trial's NONMEMBER_PROBES non-members, drawn here only if one answers
+    YES.  Only a YES set that is not the members goes to `check_membership`,
+    capped at what is left of `cap`.  Returns one partial for `_merge`."""
     hist = [0] * len(_CASE_ORDER)
     failures: list[Failure] = []
     subsets = queries = failures_total = 0
     m = p.universe_size
-    for combo, probes in cases:
+    for combo, sample in cases:
         grouped = _group_ordinals(p, combo)
         hist[_CASE_INDEX[classify(p, grouped)]] += 1
         st = _fill_tables(p, grouped, assign_blocks(p, grouped))
         subsets += 1
-        queries += m if probes is None else len(probes)
-        if yes_set(st).symmetric_difference(combo):
-            res = check_membership(st, combo, probes, cap)
+        queries += m if sample is None else len(combo) + NONMEMBER_PROBES
+        if wrong := yes_set(st).symmetric_difference(combo):
+            probes = None if sample is None else combo
+            if sample is not None and not wrong.issubset(combo):  # a non-member answers YES
+                probes = [*combo, *_draw_nonmembers(*sample, NONMEMBER_PROBES, m, frozenset(combo))]
+            res = check_membership(st, combo, probes, cap - len(failures))
             failures_total += res.failures_total
-            failures.extend(res.failures[: max(0, cap - len(failures))])
+            failures += res.failures
     return subsets, queries, failures, failures_total, hist
 
 
@@ -348,9 +332,8 @@ def _exhaustive_chunk(task: tuple[Params, int, int, int, int]) -> tuple:
 def _random_chunk(task: tuple[Params, int, int, int, int, int]) -> tuple:
     p, n, seed, lo, hi, cap = task
     m = p.universe_size
-    full = p.b <= FULL_CHECK_MAX_B
-    cases = ((c := draw_subset(seed, t, n, m), None if full else _Sample(c, seed, t, m))
-             for t in range(lo, hi))
+    sampled = p.b > FULL_CHECK_MAX_B
+    cases = ((draw_subset(seed, t, n, m), (seed, t) if sampled else None) for t in range(lo, hi))
     return _check_subsets(p, cases, cap)
 
 
@@ -426,7 +409,7 @@ def verify_random(
 
     For b <= FULL_CHECK_MAX_B every universe element is checked per
     subset; for larger b the members plus NONMEMBER_PROBES seeded
-    non-members are checked.
+    non-members.  Of the failures, the first `failure_cap` are traced.
     """
     p = cached_params(b)
     if trials < 1:

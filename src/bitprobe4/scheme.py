@@ -29,7 +29,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
-from .geometry import BlockAddr, ElementAddr, Params, line_of
+from .geometry import BlockAddr, ElementAddr, Params
 from .geometry import _new, element_to_ordinal, validate_element
 from .tables import BitTable, Structure
 
@@ -81,11 +81,6 @@ class CaseLabel(Enum):
     __hash__ = object.__hash__
 
 
-class BlockedStatus(NamedTuple):
-    b_blocked: bool
-    c_blocked: bool
-
-
 def _group_ordinals(p: Params, ordinals: Sequence[int]) -> dict[BlockAddr, set[int]]:
     """Group flat ordinals by block, deduplicating them: the one home of
     grouping.  Raises ValueError for an ordinal outside [0, b**6), then
@@ -114,21 +109,6 @@ def _group_ordinals(p: Params, ordinals: Sequence[int]) -> dict[BlockAddr, set[i
         sm1, y = divmod(q, g)
         grouped.setdefault(_new(BlockAddr, (sm1 + 1, x, y)), set()).add(i)
     return grouped
-
-
-def blocked_status(p: Params, blk: BlockAddr, asg: Assignment) -> BlockedStatus:
-    """Whether an empty block is shut out of table B and/or table C.
-
-    B-blocked: some B-routed block lies on blk's line, so blk's line slot is
-    taken.  C-blocked: some C-routed block has blk's coordinates, so blk's
-    coordinate slot is taken.
-    """
-    line = line_of(blk)
-    b_blocked = any(line_of(other) == line for other in asg.placed_b)
-    c_blocked = any(
-        other.x == blk.x and other.y == blk.y for other in asg.placed_c
-    )
-    return BlockedStatus(b_blocked, c_blocked)
 
 
 def _routing_valid(

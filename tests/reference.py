@@ -1,11 +1,12 @@
-"""Closed forms of the line families, the bit packing and splitmix64,
-written from their definitions and sharing no code with `bitprobe4`.
+"""Closed forms of the line families, the bit packing, scheme rule 4 and
+splitmix64, written from their definitions and sharing no code with
+`bitprobe4`.
 
 The package keeps one fast home for positions and lines, `Params`; the
 tests pin it against these forms.  A `p` argument is only read for `p.b`.
 """
 
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -40,6 +41,26 @@ def lines_of_superblock(p, s: int) -> Iterator[tuple[int, int]]:
     """Superblock s's lines (s, anchor), in anchor order."""
     lo, hi = anchor_bounds(p, s)
     return ((s, a) for a in range(lo, hi))
+
+
+class BlockedStatus(NamedTuple):
+    b_blocked: bool
+    c_blocked: bool
+
+
+def blocked_status(blk, placed_b: Iterable, placed_c: Iterable) -> BlockedStatus:
+    """Whether block blk = (s, x, y) is shut out of table B and/or table C
+    by a routing of the blocks `placed_b` and `placed_c`, all (s, x, y).
+
+    B-blocked: a B-routed block lies on blk's line, the line of slope s
+    through (x, y) in superblock s, so that line's slot is taken.
+    C-blocked: a C-routed block has blk's grid coordinates (x, y), so that
+    coordinate slot is taken.  Rule 4 says no empty block is both.
+    """
+    s, x, y = blk
+    b_blocked = any(t == s and u - x == s * (v - y) for t, u, v in placed_b)
+    c_blocked = any((u, v) == (x, y) for _, u, v in placed_c)
+    return BlockedStatus(b_blocked, c_blocked)
 
 
 def get_bit(table, pos: int) -> int:

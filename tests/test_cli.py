@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -27,9 +29,19 @@ def write_dense(path: Path, b: int) -> None:
     path.write_bytes(serialize(st))
 
 
+def main_in_child(argv: list[str]) -> list[str]:
+    """The command line of a child process that exits with main(argv)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); from bitprobe4.cli import main; sys.exit(main({argv!r}))"
+    return [sys.executable, "-B", "-c", code]
+
+
 class NullSink:
     def write(self, text: str) -> int:
         return len(text)
+
+    def flush(self) -> None:
+        pass
 
 
 class TestBuild:
@@ -190,10 +202,8 @@ class TestVerify:
     def test_oversized_b_refused_before_any_draw(self, mode):
         # Drawing from a b**6 > 2**64 universe never ends and enumerating it
         # overflows, so the run is a child process with a timeout.
-        src = str(Path(cli.__file__).resolve().parents[1])
         argv = ["verify", "--b", "1626", *mode]
-        code = f"import sys; sys.path.insert(0, {src!r}); from bitprobe4.cli import main; sys.exit(main({argv!r}))"
-        out = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True, timeout=60)
+        out = subprocess.run(main_in_child(argv), capture_output=True, text=True, timeout=60)
         assert (out.returncode, out.stdout) == (2, "")
         assert "table bits" in out.stderr
 
@@ -265,3 +275,58 @@ class TestStatsAndDump:
         code, _, err = run(capsys, "dump", "--in", str(path))
         assert code == 2
         assert "error:" in err
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early: a command that has returned keeps
+    its exit code, and a write that fails inside a command exits 2, neither
+    with a traceback.  Each run is a child process whose stdout is a pipe
+    with its read end already closed (or, once, a full device)."""
+
+    def run_child(self, argv, stdout, unbuffered=False):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        out = subprocess.run(
+            main_in_child(argv), stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60
+        )
+        return out.returncode, out.stderr
+
+    def run_closed(self, argv, unbuffered=False):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            return self.run_child(argv, write, unbuffered)
+        finally:
+            os.close(write)
+
+    @pytest.fixture
+    def structure_file(self, tmp_path):
+        path = tmp_path / "s.bp4"
+        path.write_bytes(serialize(build_from_ordinals(Params(2), [0])))
+        return str(path)
+
+    def test_a_returned_command_keeps_its_code(self, structure_file, tmp_path):
+        # Block-buffered stdout: the output is written by main's flush,
+        # after the command has returned.
+        assert self.run_closed(["query", "--in", structure_file, "--element", "0"]) == (0, "")
+        assert self.run_closed(["query", "--in", structure_file, "--element", "1"]) == (1, "")
+        assert self.run_closed(["verify", "--b", "2", "--trials", "3"]) == (0, "")
+        out_file = tmp_path / "t.bp4"
+        assert self.run_closed(["build", "--b", "2", "--set", "0", "--out", str(out_file)]) == (0, "")
+        assert out_file.read_bytes() == Path(structure_file).read_bytes()
+
+    def test_a_write_that_fails_inside_a_command_exits_2(self, structure_file, tmp_path):
+        broken = (2, "error: [Errno 32] Broken pipe\n")
+        path = tmp_path / "dense8.bp4"
+        write_dense(path, 8)  # its dump fills the buffer, so a write fails inside `dump`
+        assert self.run_closed(["dump", "--in", str(path)]) == broken
+        argv = ["query", "--in", structure_file, "--element", "0"]
+        assert self.run_closed(argv, unbuffered=True) == broken
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a full device")
+    def test_a_failed_last_flush_is_an_error(self, structure_file):
+        # Not a closed pipe: the output of a returned command is lost.
+        with open("/dev/full", "wb") as full:
+            code, err = self.run_child(["query", "--in", structure_file, "--element", "0"], full)
+        assert (code, err) == (2, f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")

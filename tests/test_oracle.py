@@ -22,6 +22,7 @@ from bitprobe4.oracle import (
 from bitprobe4.scheme import CaseLabel, build, build_from_ordinals, classify, query
 from bitprobe4.tables import serialize
 from .reference import GOLDEN, set_bit, splitmix64_stream
+from .test_golden import fill_with_extra_bits
 
 
 def report_key(report):
@@ -139,24 +140,43 @@ class TestLazySample:
 
     @pytest.mark.parametrize("wrong", ["false_positive", "false_negative"])
     def test_draws_only_to_locate_a_false_positive(self, monkeypatch, wrong):
+        # Every build of the subset has the bit that the target's second
+        # probe reads flipped: a non-member's turns its answer YES, a
+        # member's turns it NO.
         p = Params(5)
         m = p.universe_size
         combo = draw_subset(2, 0, 4, m)
-        sample = oracle._Sample(combo, 2, 0, m)
-        eager = list(sample)
-        assert len(eager) == len(sample) == 4 + oracle.NONMEMBER_PROBES
+        eager = [*combo, *oracle._draw_nonmembers(2, 0, oracle.NONMEMBER_PROBES, m, frozenset(combo))]
         st = build_from_ordinals(p, combo)
         target = eager[-1] if wrong == "false_positive" else combo[1]
         _, (name, pos, _) = query(st, element_from_ordinal(p, target))[1]
         {"B": st.table_b, "C": st.table_c}[name].flip(pos)
+        fill = oracle._fill_tables
+
+        def flipped(p, grouped, asg):
+            built = fill(p, grouped, asg)
+            {"B": built.table_b, "C": built.table_c}[name].flip(pos)
+            return built
 
         calls = []
         draw = oracle._draw_nonmembers
+        monkeypatch.setattr(oracle, "_fill_tables", flipped)
         monkeypatch.setattr(oracle, "_draw_nonmembers", lambda *a: calls.append(a) or draw(*a))
-        lazy = check_membership(st, combo, sample, cap=None)
+        subsets, queries, failures, total, _ = oracle._check_subsets(p, [(combo, (2, 0))], 10_000)
+        assert (subsets, queries) == (1, 4 + oracle.NONMEMBER_PROBES)
         assert len(calls) == (wrong == "false_positive")
-        assert lazy == check_membership(st, combo, eager, cap=None)
-        assert target in [f.element for f in lazy.failures]
+        eager_res = check_membership(st, combo, eager, cap=None)
+        assert (failures, total) == (eager_res.failures, eager_res.failures_total)
+        assert target in [f.element for f in failures]
+
+    def test_traces_stop_once_the_cap_is_full(self, monkeypatch):
+        # 668 wrong answers over 200 subsets, but only the one kept is traced.
+        calls = []
+        trace = oracle.query
+        monkeypatch.setattr(oracle, "_fill_tables", fill_with_extra_bits(oracle._fill_tables))
+        monkeypatch.setattr(oracle, "query", lambda *a: calls.append(a) or trace(*a))
+        report = verify_random(3, 200, 1, failure_cap=1)
+        assert (report.failures_total, len(report.failures), len(calls)) == (668, 1, 1)
 
 
 class TestKernelMatchesBuild:

@@ -20,7 +20,6 @@ from bitprobe4.scheme import (
     CapacityError,
     CaseLabel,
     assign_blocks,
-    blocked_status,
     build,
     build_from_ordinals,
     classify,
@@ -28,7 +27,7 @@ from bitprobe4.scheme import (
 )
 from bitprobe4.oracle import draw_subset
 from bitprobe4.tables import serialize
-from .reference import get_bit
+from .reference import blocked_status, get_bit
 
 
 def all_blocks(p: Params):
@@ -152,18 +151,16 @@ class TestGroupMembers:
 class TestBlockedStatus:
     def test_nothing_placed(self):
         asg = Assignment(frozenset(), frozenset())
-        assert blocked_status(Params(2), BlockAddr(1, 0, 0), asg) == (False, False)
+        assert blocked_status(BlockAddr(1, 0, 0), asg.placed_b, asg.placed_c) == (False, False)
 
     def test_b_blocked_by_shared_line(self):
-        p = Params(2)
         asg = Assignment(frozenset([BlockAddr(1, 0, 0)]), frozenset())
-        st_ = blocked_status(p, BlockAddr(1, 2, 2), asg)
+        st_ = blocked_status(BlockAddr(1, 2, 2), asg.placed_b, asg.placed_c)
         assert st_.b_blocked and not st_.c_blocked
 
     def test_c_blocked_by_shared_coordinates(self):
-        p = Params(2)
         asg = Assignment(frozenset(), frozenset([BlockAddr(1, 3, 1)]))
-        st_ = blocked_status(p, BlockAddr(2, 3, 1), asg)
+        st_ = blocked_status(BlockAddr(2, 3, 1), asg.placed_b, asg.placed_c)
         assert st_.c_blocked and not st_.b_blocked
 
 
@@ -243,7 +240,7 @@ class TestAssignBlocks:
         assert len(set(coords_c)) == len(coords_c)
         for blk in all_blocks(p):
             if blk not in non_empty:
-                status = blocked_status(p, blk, asg)
+                status = blocked_status(blk, asg.placed_b, asg.placed_c)
                 assert not (status.b_blocked and status.c_blocked)
 
 
@@ -294,7 +291,7 @@ class TestBuild:
             elif blk in asg.placed_c:
                 assert bit == 1
             else:
-                assert bit == int(blocked_status(p, blk, asg).b_blocked)
+                assert bit == int(blocked_status(blk, asg.placed_b, asg.placed_c).b_blocked)
 
     @given(subsets())
     @settings(max_examples=60)
