@@ -1,8 +1,10 @@
 """Command-line front-end: build, query, verify, stats, and dump.
 
-Exit codes are a stable contract for CI: 0 for success (PASS / YES),
-1 for a negative result (NO, or a verification FAIL), 2 for any error.
-A reader that closes stdout after a command has returned is no error.
+Exit codes are a stable contract for CI: 0 or 1 for the answer (YES or
+PASS, NO or FAIL), 2 for an error or a failed write.  Each command does all
+that can fail and returns its code with its output, which `main`, the one
+writer, then writes; so a reader that closes stdout, or a stdout closed from
+the start, never changes the code.
 """
 
 from __future__ import annotations
@@ -11,12 +13,13 @@ import argparse
 import errno
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from itertools import islice
 
 from .geometry import Params, element_from_ordinal
 from .oracle import DEFAULT_MAX_QUERIES, space_audit, verify_exhaustive, verify_random
 from .scheme import MAX_MEMBERS, build_from_ordinals, query
-from .tables import checked_table_sizes, deserialize, serialize
+from .tables import Structure, checked_table_sizes, deserialize, serialize
 
 # Set bits `dump` formats and writes at a time.
 DUMP_CHUNK = 1024
@@ -36,27 +39,28 @@ def _parse_b_range(text: str) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
-def cmd_build(args: argparse.Namespace) -> int:
+def cmd_build(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     p = Params(args.b) if args.b is not None else Params.from_universe(args.m)
     st = build_from_ordinals(p, _parse_subset(args.set))  # range-checks first
     blob = serialize(st)
     with open(args.out, "wb") as fh:
         fh.write(blob)
+    lines = []
     if args.b is None and p.universe_size != args.m:
-        print(
+        lines.append(
             f"note: universe padded to m={p.universe_size} (b={p.b}) "
-            f"for requested m={args.m}"
+            f"for requested m={args.m}\n"
         )
     total = st.total_bits()
-    print(
+    lines.append(
         f"b={p.b} m={p.universe_size} |A|={st.table_a.nbits} "
         f"|B|={st.table_b.nbits} |C|={st.table_c.nbits} total={total} bits "
-        f"({(total + 7) // 8} payload bytes) -> {args.out}"
+        f"({(total + 7) // 8} payload bytes) -> {args.out}\n"
     )
-    return 0
+    return 0, lines
 
 
-def cmd_query(args: argparse.Namespace) -> int:
+def cmd_query(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     with open(args.in_path, "rb") as fh:
         st = deserialize(fh.read())
     e = element_from_ordinal(st.params, args.element)
@@ -66,9 +70,8 @@ def cmd_query(args: argparse.Namespace) -> int:
     if args.fmt == "tuple":
         (s, x, y), i = e
         suffix = f"  (s={s},x={x},y={y},i={i})"
-    print(f"{'YES' if answer else 'NO'} element={args.element}{suffix}")
-    print(f"{t1}[{p1}]={v1} ; {t2}[{p2}]={v2}")
-    return 0 if answer else 1
+    answer_line = f"{'YES' if answer else 'NO'} element={args.element}{suffix}\n"
+    return 0 if answer else 1, [answer_line, f"{t1}[{p1}]={v1} ; {t2}[{p2}]={v2}\n"]
 
 
 def _only_with(mode: str, args: argparse.Namespace, *names: str) -> None:
@@ -78,7 +81,7 @@ def _only_with(mode: str, args: argparse.Namespace, *names: str) -> None:
             raise ValueError(f"--{name.replace('_', '-')} applies only with {mode}")
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     if args.exhaustive:
         _only_with("--trials", args, "seed", "n")
         report = verify_exhaustive(
@@ -92,39 +95,40 @@ def cmd_verify(args: argparse.Namespace) -> int:
         seed = 0 if args.seed is None else args.seed
         n = MAX_MEMBERS if args.n is None else args.n
         report = verify_random(args.b, args.trials, seed, n, jobs=args.jobs)
-    print(report.to_csv() if args.csv else report.to_text())
-    return 0 if report.verdict == "PASS" else 1
+    text = report.to_csv() if args.csv else report.to_text()
+    return 0 if report.verdict == "PASS" else 1, [text + "\n"]
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
+def cmd_stats(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     lo, hi = _parse_b_range(args.b_range)
     if lo < 2 or hi < lo:
         raise ValueError(f"bad range {lo}..{hi}: need 2 <= LO <= HI")
     checked_table_sizes(Params(hi))  # before any row is built
-    print(f"{'b':>4} {'|A|':>12} {'|B|':>12} {'|C|':>12} {'total':>13} {'total/b^5':>10}")
+    lines = [f"{'b':>4} {'|A|':>12} {'|B|':>12} {'|C|':>12} {'total':>13} {'total/b^5':>10}\n"]
     for row in space_audit(range(lo, hi + 1)):
-        print(
+        lines.append(
             f"{row.b:>4} {row.a_bits:>12} {row.b_bits:>12} {row.c_bits:>12} "
-            f"{row.total_bits:>13} {row.ratio:>10.4f}"
+            f"{row.total_bits:>13} {row.ratio:>10.4f}\n"
         )
-    return 0
+    return 0, lines
 
 
-def cmd_dump(args: argparse.Namespace) -> int:
-    """Print each table's set bits as a list, written DUMP_CHUNK at a time,
-    so memory does not grow with the ones of a dense file."""
-    with open(args.in_path, "rb") as fh:
-        st = deserialize(fh.read())
-    out = sys.stdout
-    out.write(f"b={st.params.b} m={st.params.universe_size}\n")
+def _dump_lines(st: Structure) -> Iterator[str]:
+    yield f"b={st.params.b} m={st.params.universe_size}\n"
     for name, table in (("A", st.table_a), ("B", st.table_b), ("C", st.table_c)):
-        out.write(f"{name}: {table.nbits} bits, set=[")
+        yield f"{name}: {table.nbits} bits, set=["
         ones, sep = map(str, table.ones()), ""
         while chunk := list(islice(ones, DUMP_CHUNK)):
-            out.write(sep + ", ".join(chunk))
+            yield sep + ", ".join(chunk)
             sep = ", "
-        out.write("]\n")
-    return 0
+        yield "]\n"
+
+
+def cmd_dump(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
+    """Each table's set bits as a list, formatted DUMP_CHUNK at a time as written."""
+    with open(args.in_path, "rb") as fh:
+        st = deserialize(fh.read())
+    return 0, _dump_lines(st)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -174,21 +178,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        code = args.handler(args)
+        code, lines = args.handler(args)
+        if (out := sys.stdout) is not None:  # None if started with stdout closed: drop the lines
+            try:
+                for line in lines:
+                    out.write(line)
+                out.flush()
+            except OSError as exc:  # drop the rest, so the interpreter's last flush succeeds
+                with open(os.devnull, "wb") as devnull:
+                    os.dup2(devnull.fileno(), out.fileno())
+                if exc.errno != errno.EPIPE:  # EPIPE: the reader has gone, which is no error
+                    raise
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = 2
-    try:
-        sys.stdout.flush()
-    except OSError as exc:  # drop the rest, so the interpreter's last flush succeeds
-        with open(os.devnull, "wb") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
-        if exc.errno != errno.EPIPE:  # EPIPE: the reader has gone, which is no error
+        if sys.stderr is not None:  # None when started with stderr closed
             print(f"error: {exc}", file=sys.stderr)
-            code = 2
+        code = 2
     return code
 
 

@@ -30,7 +30,7 @@ from enum import Enum
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .geometry import BlockAddr, ElementAddr, Params
-from .geometry import _new, element_to_ordinal, validate_element
+from .geometry import _new, element_from_ordinal, element_to_ordinal, validate_element
 from .tables import BitTable, Structure
 
 MAX_MEMBERS = 4
@@ -87,8 +87,8 @@ def _group_ordinals(p: Params, ordinals: Sequence[int]) -> dict[BlockAddr, set[i
     CapacityError when more than MAX_MEMBERS distinct ordinals remain.  Up
     to INVERSE_TABLE_MAX_B each distinct ordinal's block is read from the
     `blocks` field of `Params._inverses`, shared by every subset; above it,
-    it is decoded with `element_from_ordinal`'s arithmetic, inlined."""
-    b, g, m = p.b, p.grid_side, p.universe_size
+    it is decoded by `element_from_ordinal`, which builds that table too."""
+    b, m = p.b, p.universe_size
     if ordinals and not (0 <= min(ordinals) and max(ordinals) < m):
         n = next(n for n in ordinals if not 0 <= n < m)
         raise ValueError(f"ordinal {n} out of range [0, {m})")
@@ -104,10 +104,8 @@ def _group_ordinals(p: Params, ordinals: Sequence[int]) -> dict[BlockAddr, set[i
             grouped.setdefault(blocks[q], set()).add(i)
         return grouped
     for n in distinct:
-        q, i = divmod(n, b)
-        q, x = divmod(q, g)
-        sm1, y = divmod(q, g)
-        grouped.setdefault(_new(BlockAddr, (sm1 + 1, x, y)), set()).add(i)
+        blk, i = element_from_ordinal(p, n)
+        grouped.setdefault(blk, set()).add(i)
     return grouped
 
 

@@ -277,11 +277,18 @@ class TestStatsAndDump:
         assert "error:" in err
 
 
+# Runs the command after it with its stdout (fd 1) or stderr (fd 2) closed.
+CLOSING_STDOUT = ["sh", "-c", 'exec "$0" "$@" >&-']
+CLOSING_STDERR = ["sh", "-c", 'exec "$0" "$@" 2>&-']
+
+
 class TestClosedStdout:
-    """A reader that closes stdout early: a command that has returned keeps
-    its exit code, and a write that fails inside a command exits 2, neither
-    with a traceback.  Each run is a child process whose stdout is a pipe
-    with its read end already closed (or, once, a full device)."""
+    """A reader that closes stdout, or a stdout closed from the start, never
+    changes the exit code: each command returns its code and its output, and
+    `main`, the one writer, keeps the code without a message when a write
+    meets a closed pipe, and drops the output when there is no stdout.  Any
+    other failed write exits 2.  Each run is a child process whose stdout is
+    a pipe with its read end already closed, a full device, or closed."""
 
     def run_child(self, argv, stdout, unbuffered=False):
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -316,17 +323,62 @@ class TestClosedStdout:
         assert self.run_closed(["build", "--b", "2", "--set", "0", "--out", str(out_file)]) == (0, "")
         assert out_file.read_bytes() == Path(structure_file).read_bytes()
 
-    def test_a_write_that_fails_inside_a_command_exits_2(self, structure_file, tmp_path):
-        broken = (2, "error: [Errno 32] Broken pipe\n")
+    @pytest.fixture
+    def dense_file(self, tmp_path):
         path = tmp_path / "dense8.bp4"
-        write_dense(path, 8)  # its dump fills the buffer, so a write fails inside `dump`
-        assert self.run_closed(["dump", "--in", str(path)]) == broken
-        argv = ["query", "--in", structure_file, "--element", "0"]
-        assert self.run_closed(argv, unbuffered=True) == broken
+        write_dense(path, 8)  # its dump is far over the 8 KiB buffer
+        return str(path)
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["query", "--in", "{structure_file}", "--element", "0"], 0),
+            (["query", "--in", "{structure_file}", "--element", "1"], 1),
+            (["verify", "--b", "2", "--trials", "3"], 0),
+            (["dump", "--in", "{dense_file}"], 0),
+            (["stats", "--b-range", "2..40"], 0),
+        ],
+        ids=["member", "non-member", "verify", "dense-dump", "stats"],
+    )
+    def test_a_closed_reader_keeps_the_code(self, structure_file, dense_file, argv, code, unbuffered):
+        # The first failed write comes mid-output (unbuffered, or an output
+        # over the buffer) or at the last flush; either way the code stands.
+        argv = [a.format(structure_file=structure_file, dense_file=dense_file) for a in argv]
+        assert self.run_closed(argv, unbuffered) == (code, "")
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["query", "--in", "{}", "--element", "0"], 0, ""),
+            (["query", "--in", "{}", "--element", "1"], 1, ""),
+            (["query", "--in", "{}", "--element", "64"], 2, "error: ordinal 64 out of range [0, 64)\n"),
+            (["stats", "--b-range", "2..40"], 0, ""),
+        ],
+        ids=["member", "non-member", "out-of-range", "stats"],
+    )
+    def test_a_stdout_closed_from_the_start_keeps_the_code(self, structure_file, argv, code, err):
+        argv = [a.format(structure_file) for a in argv]
+        cmd = CLOSING_STDOUT + main_in_child(argv)
+        out = subprocess.run(cmd, stderr=subprocess.PIPE, text=True, timeout=60)
+        assert (out.returncode, out.stderr) == (code, err)
+
+    def test_an_error_with_stderr_closed_exits_2(self, tmp_path):
+        argv = ["query", "--in", str(tmp_path / "nope"), "--element", "0"]
+        cmd = CLOSING_STDERR + main_in_child(argv)
+        out = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, timeout=60)
+        assert (out.returncode, out.stdout) == (2, "")  # the report is not moved to stdout
 
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a full device")
     def test_a_failed_last_flush_is_an_error(self, structure_file):
         # Not a closed pipe: the output of a returned command is lost.
         with open("/dev/full", "wb") as full:
             code, err = self.run_child(["query", "--in", structure_file, "--element", "0"], full)
+        assert (code, err) == (2, f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a full device")
+    def test_a_dense_dump_into_a_full_device_exits_2(self, dense_file):
+        # The dump is far over the buffer, so a write fails mid-stream.
+        with open("/dev/full", "wb") as full:
+            code, err = self.run_child(["dump", "--in", dense_file], full)
         assert (code, err) == (2, f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
