@@ -177,24 +177,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(stream, lines: Iterable[str]) -> OSError | None:
+    """Write and flush the lines unless stream is None (closed at start); return a write's error."""
+    try:
+        if stream is not None:
+            for line in lines:
+                stream.write(line)
+            stream.flush()
+    except OSError as exc:  # drop the rest, so the interpreter's last flush succeeds
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), stream.fileno())
+        return exc
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         code, lines = args.handler(args)
-        if (out := sys.stdout) is not None:  # None if started with stdout closed: drop the lines
-            try:
-                for line in lines:
-                    out.write(line)
-                out.flush()
-            except OSError as exc:  # drop the rest, so the interpreter's last flush succeeds
-                with open(os.devnull, "wb") as devnull:
-                    os.dup2(devnull.fileno(), out.fileno())
-                if exc.errno != errno.EPIPE:  # EPIPE: the reader has gone, which is no error
-                    raise
+        if (exc := _write(sys.stdout, lines)) and exc.errno != errno.EPIPE:  # EPIPE: reader gone
+            raise exc
     except (ValueError, OSError) as exc:
-        if sys.stderr is not None:  # None when started with stderr closed
-            print(f"error: {exc}", file=sys.stderr)
         code = 2
+        _write(sys.stderr, [f"error: {exc}\n"])  # a lost report leaves the code at 2
     return code
 
 

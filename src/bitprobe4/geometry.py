@@ -33,14 +33,14 @@ from typing import NamedTuple
 
 _new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 
-# Up to this b, grouping, `scheme._fill_tables` and `oracle.yes_set` read the
-# block table and line masks of `Params._inverses` and handle tables A, B and
-# C as ints; above it, they walk `line_blocks` and `b_line` and read the
-# tables a byte at a time.  Built once per b and process, the table takes
-# 0.04 ms and 3 KiB at b = 2, 0.24 ms and 23 KiB at b = 3, 0.9 ms and 106 KiB
-# at b = 4, 2.7 ms and 385 KiB at b = 5, 6.5 ms and 1.2 MiB at b = 6, and
-# 33 ms and 9.9 MiB at b = 8, where one `verify_random(8, 200, jobs=2)` call
-# lasts about 30 ms (2-vCPU VM, Python 3.11, size under `tracemalloc`).
+# Up to this b, grouping, `scheme._routing_bits` and `oracle._yes_bits` read
+# the block table and line masks of `Params._inverses`, and a verified subset's
+# tables A, B and C stay ints; above it, `_fill_tables` and `yes_set` walk
+# `line_blocks` and `b_line` on bytes.  Built once per b and process, the table
+# takes 0.04 ms and 3 KiB at b = 2, 0.24 ms and 23 KiB at b = 3, 0.9 ms and
+# 106 KiB at b = 4, 2.7 ms and 385 KiB at b = 5, 6.5 ms and 1.2 MiB at b = 6,
+# and 33 ms and 9.9 MiB at b = 8, where one `verify_random(8, 200, jobs=2)`
+# call lasts about 30 ms (2-vCPU VM, Python 3.11, size under `tracemalloc`).
 INVERSE_TABLE_MAX_B = 5
 
 

@@ -2,15 +2,15 @@
 
 Ground truth is always a direct membership test on the stored subset; the
 scheme side is `yes_set`, the elements a structure answers YES for, listed
-by inverting the probe map of each 1 bit of B and C.  Exhaustive
-verification enumerates every subset up to the size cap and checks every
-universe element; randomized verification draws seeded subsets from a
-splitmix64 stream, so identical seeds reproduce identical reports on any
-platform.  Above b = 4 it probes the members plus a seeded non-member
-sample, drawn only if a non-member answers YES, as only then can it change
-the report.  Subset checks are independent and can be spread over worker
-processes; partial results merge in enumeration order under one failure
-cap, so the report does not depend on the worker count.
+by inverting the probe map of each 1 bit of B and C (`_yes_bits` on ints, up
+to INVERSE_TABLE_MAX_B).  Exhaustive verification enumerates every subset up
+to the size cap and checks every universe element; randomized verification
+draws seeded subsets from a splitmix64 stream, so identical seeds reproduce
+identical reports on any platform.  Above b = 4 it probes the members plus a
+seeded non-member sample, drawn only if a non-member answers YES, as only
+then can it change the report.  Subset checks are independent and can be
+spread over worker processes; partial results merge in enumeration order
+under one failure cap, so the report does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from .scheme import (
     ProbeTrace,
     _fill_tables,
     _group_ordinals,
+    _routing_bits,
+    _structure_of_bits,
     assign_blocks,
     build_from_ordinals,
     classify,
@@ -129,11 +131,9 @@ def yes_set(st: Structure) -> set[int]:
     each block on that line whose A bit is 0 (`geometry.Params` inverts
     both).  A slot holds two 1 bits only when two members share a B-routed
     block, so the walk is not shared between the bits of one slot.  Up to
-    INVERSE_TABLE_MAX_B the tables are read once as ints, and the blocks
-    reading a 1 bit are one AND of A with a mask of `Params._inverses`
-    (B bit pos reads the mask of its slot, pos // b, at index pos % b),
-    whose set bits alone are walked; above it, `b_line` finds each B bit's
-    line and A is read a byte per block.
+    INVERSE_TABLE_MAX_B the tables are read once as ints and walked by
+    `_yes_bits`; above it, `b_line` finds each B bit's line and A is read a
+    byte per block.
     """
     p = st.params
     b = p.b
@@ -157,8 +157,15 @@ def yes_set(st: Structure) -> set[int]:
     # Bits past |B| and |C| are the last byte's padding, never read.
     tb = int.from_bytes(st.table_b.data, "little") & (1 << nb) - 1
     tc = int.from_bytes(st.table_c.data, "little") & (1 << nc) - 1
+    return _yes_bits(p, ta, tb, tc)
+
+
+def _yes_bits(p: Params, ta: int, tb: int, tc: int) -> set[int]:
+    """`yes_set` of tables given as ints, up to INVERSE_TABLE_MAX_B: the blocks
+    reading a 1 bit are one AND of A with a mask of `Params._inverses`."""
+    b, (masks, column, _) = p.b, p._inverses
+    yes: set[int] = set()
     add = yes.add
-    column = inverses.column_mask
     while tc:
         low = tc & -tc
         tc ^= low
@@ -168,7 +175,7 @@ def yes_set(st: Structure) -> set[int]:
             low = hits & -hits
             hits ^= low
             add((low.bit_length() - 1) * b + i)
-    masks, free = inverses.line_masks, ~ta
+    free = ~ta
     while tb:
         low = tb & -tb
         tb ^= low
@@ -299,18 +306,26 @@ def _check_subsets(p: Params, cases: Iterable[tuple], cap: int) -> tuple:
     sample=None probes the universe, (seed, trial) the members and that
     trial's NONMEMBER_PROBES non-members, drawn here only if one answers
     YES.  Only a YES set that is not the members goes to `check_membership`,
-    capped at what is left of `cap`.  Returns one partial for `_merge`."""
+    capped at what is left of `cap`; up to INVERSE_TABLE_MAX_B the tables
+    stay ints until then, when they become a `Structure`.  Returns one
+    partial for `_merge`."""
     hist = [0] * len(_CASE_ORDER)
     failures: list[Failure] = []
     subsets = queries = failures_total = 0
     m = p.universe_size
+    small = p._inverses is not None
     for combo, sample in cases:
         grouped = _group_ordinals(p, combo)
         hist[_CASE_INDEX[classify(p, grouped)]] += 1
-        st = _fill_tables(p, grouped, assign_blocks(p, grouped))
+        if small:
+            bits = _routing_bits(p, grouped, assign_blocks(p, grouped))
+            yes = _yes_bits(p, *bits)
+        else:
+            yes = yes_set(st := _fill_tables(p, grouped, assign_blocks(p, grouped)))
         subsets += 1
         queries += m if sample is None else len(combo) + NONMEMBER_PROBES
-        if wrong := yes_set(st).symmetric_difference(combo):
+        if wrong := yes.symmetric_difference(combo):
+            st = _structure_of_bits(p, *bits) if small else st  # the same bits: filled once
             probes = None if sample is None else combo
             if sample is not None and not wrong.issubset(combo):  # a non-member answers YES
                 probes = [*combo, *_draw_nonmembers(*sample, NONMEMBER_PROBES, m, frozenset(combo))]

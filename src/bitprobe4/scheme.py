@@ -168,10 +168,9 @@ def _fill_tables(
     line are B-blocked and flip to A=1 (table C).  The line's bits include
     the B-routed block itself, whose own bit is cleared next; no other
     B-routed block's line reaches it (rule 2).  Up to INVERSE_TABLE_MAX_B
-    the tables are built as ints, a line in one OR of the mask that
-    `Params._inverses` keeps for the block's B slot (slot // b), and each
-    becomes bytes once; above it, bits are written straight into the
-    tables' bytes, a line walked through `line_blocks`.
+    the tables are the ints of `_routing_bits`, made bytes once; above it,
+    bits are written straight into the tables' bytes, a line walked
+    through `line_blocks`.
     """
     inverses = p._inverses
     if inverses is None:
@@ -195,12 +194,19 @@ def _fill_tables(
                 pos = p.c_pos(x, y, i)
                 tc[pos >> 3] |= 1 << (pos & 7)
         return st
-    b, masks = p.b, inverses.line_masks
+    return _structure_of_bits(p, *_routing_bits(p, grouped, asg))
+
+
+def _routing_bits(
+    p: Params, grouped: Mapping[BlockAddr, set[int]], asg: Assignment
+) -> tuple[int, int, int]:
+    """Tables A, B and C of a routing as ints, up to INVERSE_TABLE_MAX_B."""
+    b, masks = p.b, p._inverses.line_masks
     a = tb = tc = 0
     for blk in asg.placed_b:
         s, x, y = blk
         slot = p.b_slot(s, x - s * y)
-        a |= masks[slot // b]
+        a |= masks[slot // b]  # the line: the mask `Params._inverses` keeps for its slot
         a ^= 1 << p.a_pos(s, x, y)  # set by the OR, so this clears it
         for i in grouped[blk]:
             tb |= 1 << slot + i
@@ -209,9 +215,14 @@ def _fill_tables(
         a |= 1 << p.a_pos(s, x, y)
         for i in grouped[blk]:
             tc |= 1 << p.c_pos(x, y, i)
-    na, nb, nc = p.table_sizes
-    from_int = BitTable.from_int
-    return Structure(p, from_int(na, a), from_int(nb, tb), from_int(nc, tc))
+    return a, tb, tc
+
+
+def _structure_of_bits(p: Params, *bits: int) -> Structure:
+    """The structure whose tables A, B and C hold the bits of three ints."""
+    sized = zip(p.table_sizes, bits)
+    tables = [BitTable(n, bytearray(v.to_bytes((n + 7) // 8, "little"))) for n, v in sized]
+    return Structure(p, *tables)
 
 
 def build(p: Params, members: Iterable[ElementAddr]) -> Structure:

@@ -99,11 +99,6 @@ class BitTable:
         self.nbits = nbits
         self.data = data
 
-    @classmethod
-    def from_int(cls, nbits: int, value: int) -> "BitTable":
-        """The table whose bit k is bit k of value, for 0 <= value < 2**nbits."""
-        return cls(nbits, bytearray(value.to_bytes((nbits + 7) // 8, "little")))
-
     def __len__(self) -> int:
         return self.nbits
 

@@ -287,8 +287,9 @@ class TestClosedStdout:
     changes the exit code: each command returns its code and its output, and
     `main`, the one writer, keeps the code without a message when a write
     meets a closed pipe, and drops the output when there is no stdout.  Any
-    other failed write exits 2.  Each run is a child process whose stdout is
-    a pipe with its read end already closed, a full device, or closed."""
+    other failed write exits 2, and so does an error whose report cannot be
+    written.  Each run is a child process whose stdout or stderr is a pipe
+    with its read end already closed, a full device, or closed."""
 
     def run_child(self, argv, stdout, unbuffered=False):
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -368,6 +369,25 @@ class TestClosedStdout:
         cmd = CLOSING_STDERR + main_in_child(argv)
         out = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, timeout=60)
         assert (out.returncode, out.stdout) == (2, "")  # the report is not moved to stdout
+
+    @pytest.mark.parametrize("sink", ["closed-pipe", "full-device"])
+    def test_an_error_whose_report_cannot_be_written_exits_2(self, tmp_path, sink):
+        # stderr is a pipe whose reader has gone, or a full device: the
+        # report is dropped, and neither its write nor the interpreter's
+        # last flush changes the code.
+        if sink == "full-device" and not Path("/dev/full").exists():
+            pytest.skip("needs a full device")
+        argv = ["query", "--in", str(tmp_path / "nope"), "--element", "0"]
+        if sink == "closed-pipe":
+            read, err = os.pipe()
+            os.close(read)
+        else:
+            err = os.open("/dev/full", os.O_WRONLY)
+        try:
+            out = subprocess.run(main_in_child(argv), stdout=subprocess.PIPE, stderr=err, text=True, timeout=60)
+        finally:
+            os.close(err)
+        assert (out.returncode, out.stdout) == (2, "")
 
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a full device")
     def test_a_failed_last_flush_is_an_error(self, structure_file):

@@ -8,7 +8,12 @@ pins the kernel's probe positions to the ones `query` reports.  The
 digests below were recorded from the implementation that answered every
 element through `query`, except the clean-run report digests, which were
 recorded from the verifier that built each subset through
-`_group_ordinals`, `classify` and `assign_blocks`.
+`_group_ordinals`, `classify` and `assign_blocks`.  Faults are injected by
+`patch_fill` where the verifier fills a subset's tables: the ints of
+`_routing_bits` up to INVERSE_TABLE_MAX_B, where a `Structure` is built
+only for a subset that fails, and the `Structure` of `_fill_tables` above
+it.  Both homes take the same bits at the same positions, so the frozen
+evidence holds for either.
 """
 
 import hashlib
@@ -16,7 +21,7 @@ import hashlib
 import pytest
 
 from bitprobe4 import oracle, scheme
-from bitprobe4.geometry import Params, element_from_ordinal
+from bitprobe4.geometry import INVERSE_TABLE_MAX_B, Params, element_from_ordinal
 from bitprobe4.oracle import (
     _draw_nonmembers,
     audit_bit_flips,
@@ -25,7 +30,7 @@ from bitprobe4.oracle import (
     verify_exhaustive,
     verify_random,
 )
-from bitprobe4.scheme import build_from_ordinals, query
+from bitprobe4.scheme import _structure_of_bits, build_from_ordinals, query
 from bitprobe4.tables import serialize
 
 # b, non-member probes per structure (None: the whole universe), flips
@@ -154,22 +159,41 @@ def evidence_digest(report) -> str:
     return hashlib.sha256(repr(evidence).encode()).hexdigest()
 
 
-def fill_with_extra_bits(fill):
-    """`_fill_tables` plus one extra B bit and one extra C bit, at
-    positions derived from the stored blocks (so any order of calls and
-    any worker count sets the same bits)."""
+def patch_fill(monkeypatch, b, edit):
+    """Run edit(p, grouped, st) on the tables of every subset the verifier
+    fills at b, before they are checked, in the one home it fills them
+    from: the ints of `oracle._routing_bits` up to INVERSE_TABLE_MAX_B,
+    edited as a `Structure` of the same bits, else the `Structure` of
+    `oracle._fill_tables`."""
+    if b <= INVERSE_TABLE_MAX_B:
+        home, inner = "_routing_bits", oracle._routing_bits
 
-    def filled(p, grouped, asg):
-        st = fill(p, grouped, asg)
-        key = 1 + sum(
-            (s * 7 + x * 13 + y * 17) * (1 + sum(idx)) for (s, x, y), idx in grouped.items()
-        )
-        for table, mult in ((st.table_b, 2654435761), (st.table_c, 40503)):
-            pos = key * mult % table.nbits
-            table.data[pos >> 3] |= 1 << (pos & 7)
-        return st
+        def patched(p, grouped, asg):
+            st = _structure_of_bits(p, *inner(p, grouped, asg))
+            edit(p, grouped, st)
+            return tuple(int.from_bytes(t.data, "little") for t in (st.table_a, st.table_b, st.table_c))
 
-    return filled
+    else:
+        home, inner = "_fill_tables", oracle._fill_tables
+
+        def patched(p, grouped, asg):
+            st = inner(p, grouped, asg)
+            edit(p, grouped, st)
+            return st
+
+    monkeypatch.setattr(oracle, home, patched)
+
+
+def set_extra_bits(p, grouped, st):
+    """One extra B bit and one extra C bit, at positions derived from the
+    stored blocks (so any order of calls and any worker count sets the same
+    bits)."""
+    key = 1 + sum(
+        (s * 7 + x * 13 + y * 17) * (1 + sum(idx)) for (s, x, y), idx in grouped.items()
+    )
+    for table, mult in ((st.table_b, 2654435761), (st.table_c, 40503)):
+        pos = key * mult % table.nbits
+        table.data[pos >> 3] |= 1 << (pos & 7)
 
 
 # b -> (trials, failures_total, evidence digest); seed 1, failure cap 10,000.
@@ -182,7 +206,7 @@ EXTRA_BIT_EVIDENCE = {
 
 @pytest.mark.parametrize("b", sorted(EXTRA_BIT_EVIDENCE))
 def test_extra_bit_failures_are_frozen(b, monkeypatch):
-    monkeypatch.setattr(oracle, "_fill_tables", fill_with_extra_bits(oracle._fill_tables))
+    patch_fill(monkeypatch, b, set_extra_bits)
     trials, total, digest = EXTRA_BIT_EVIDENCE[b]
     report = verify_random(b, trials, seed=1, failure_cap=10_000)
     assert (report.failures_total, evidence_digest(report)) == (total, digest)

@@ -22,7 +22,7 @@ from bitprobe4.oracle import (
 from bitprobe4.scheme import CaseLabel, build, build_from_ordinals, classify, query
 from bitprobe4.tables import serialize
 from .reference import GOLDEN, set_bit, splitmix64_stream
-from .test_golden import fill_with_extra_bits
+from .test_golden import patch_fill, set_extra_bits
 
 
 def report_key(report):
@@ -151,16 +151,13 @@ class TestLazySample:
         target = eager[-1] if wrong == "false_positive" else combo[1]
         _, (name, pos, _) = query(st, element_from_ordinal(p, target))[1]
         {"B": st.table_b, "C": st.table_c}[name].flip(pos)
-        fill = oracle._fill_tables
-
-        def flipped(p, grouped, asg):
-            built = fill(p, grouped, asg)
-            {"B": built.table_b, "C": built.table_c}[name].flip(pos)
-            return built
-
         calls = []
         draw = oracle._draw_nonmembers
-        monkeypatch.setattr(oracle, "_fill_tables", flipped)
+
+        def flip(p, grouped, built):
+            {"B": built.table_b, "C": built.table_c}[name].flip(pos)
+
+        patch_fill(monkeypatch, p.b, flip)
         monkeypatch.setattr(oracle, "_draw_nonmembers", lambda *a: calls.append(a) or draw(*a))
         subsets, queries, failures, total, _ = oracle._check_subsets(p, [(combo, (2, 0))], 10_000)
         assert (subsets, queries) == (1, 4 + oracle.NONMEMBER_PROBES)
@@ -173,27 +170,21 @@ class TestLazySample:
         # 668 wrong answers over 200 subsets, but only the one kept is traced.
         calls = []
         trace = oracle.query
-        monkeypatch.setattr(oracle, "_fill_tables", fill_with_extra_bits(oracle._fill_tables))
+        patch_fill(monkeypatch, 3, set_extra_bits)
         monkeypatch.setattr(oracle, "query", lambda *a: calls.append(a) or trace(*a))
         report = verify_random(3, 200, 1, failure_cap=1)
         assert (report.failures_total, len(report.failures), len(calls)) == (668, 1, 1)
 
 
 class TestKernelMatchesBuild:
-    """Every structure `_check_subsets` builds is the one `build_from_ordinals`
-    builds for its subset, and the one `build` makes of its element addresses,
-    and its histogram label is `classify`'s."""
+    """The tables `_check_subsets` checks for each subset (ints up to
+    INVERSE_TABLE_MAX_B, a `Structure` above it) are those of the structure
+    `build_from_ordinals` builds for it, and the one `build` makes of its
+    element addresses, and its histogram label is `classify`'s."""
 
     def check(self, monkeypatch, b, combos):
         recorded = []
-        fill = oracle._fill_tables
-
-        def recording(p, grouped, asg):
-            st = fill(p, grouped, asg)
-            recorded.append((grouped, st))
-            return st
-
-        monkeypatch.setattr(oracle, "_fill_tables", recording)
+        patch_fill(monkeypatch, b, lambda p, grouped, st: recorded.append((grouped, st)))
         p = Params(b)
         for combo in combos:
             *_, hist = oracle._check_subsets(p, [(combo, None)], 32)
@@ -218,36 +209,81 @@ class TestKernelMatchesBuild:
 
 
 class TestPatchPoints:
-    """`oracle._fill_tables` and `scheme._routing_valid` are read on every
-    build, so a patch of either (tests/test_golden.py) reaches every subset:
-    each subset is filled once, after at least one routing check of its
-    blocks."""
+    """The verifier fills each subset's tables in one home, read on every
+    subset: `oracle._routing_bits` up to INVERSE_TABLE_MAX_B, and
+    `oracle._fill_tables` above it.  So a patch of that home or of
+    `scheme._routing_valid` (tests/test_golden.py) reaches every subset:
+    each subset is filled once, in its b's home, after at least one routing
+    check of its blocks."""
 
-    @pytest.mark.parametrize("run", [
-        lambda: verify_random(2, 50, 3, jobs=1),
-        lambda: verify_exhaustive(2, max_n=2),
-    ], ids=["random", "exhaustive"])
-    def test_every_subset_is_routed_and_filled(self, monkeypatch, run):
+    @pytest.mark.parametrize("run, home", [
+        (lambda: verify_random(2, 50, 3, jobs=1), "_routing_bits"),
+        (lambda: verify_exhaustive(2, max_n=2), "_routing_bits"),
+        (lambda: verify_random(6, 20, 3, jobs=1), "_fill_tables"),
+    ], ids=["random", "exhaustive", "random-b6"])
+    def test_every_subset_is_routed_and_filled(self, monkeypatch, run, home):
         events = []
-        fill, valid = oracle._fill_tables, scheme._routing_valid
+        valid = scheme._routing_valid
 
-        def counting_fill(p, grouped, asg):
-            events.append(("fill", frozenset(grouped)))
-            return fill(p, grouped, asg)
+        def counting(name):
+            fill = getattr(oracle, name)
+
+            def counted(p, grouped, asg):
+                events.append((name, frozenset(grouped)))
+                return fill(p, grouped, asg)
+
+            return counted
 
         def counting_valid(p, non_empty, to_b, to_c):
             events.append(("route", non_empty))
             return valid(p, non_empty, to_b, to_c)
 
-        monkeypatch.setattr(oracle, "_fill_tables", counting_fill)
+        for name in ("_routing_bits", "_fill_tables"):
+            monkeypatch.setattr(oracle, name, counting(name))
         monkeypatch.setattr(scheme, "_routing_valid", counting_valid)
         report = run()
-        fills = [k for k, (kind, _) in enumerate(events) if kind == "fill"]
+        fills = [k for k, (kind, _) in enumerate(events) if kind != "route"]
         assert len(fills) == report.subsets_checked
+        assert {events[k][0] for k in fills} == {home}
         for prev, k in zip([-1] + fills, fills):
             blocks = events[k][1]
             if blocks:
                 assert ("route", blocks) in events[prev + 1 : k]
+
+
+class TestCleanRunsBuildNoTables:
+    """Up to INVERSE_TABLE_MAX_B a subset's tables stay ints: a clean run
+    wraps none of them in a `Structure`, and a failing run wraps each
+    failing subset's once, to trace its evidence."""
+
+    def count_structures(self, monkeypatch):
+        calls = []
+        wrap = oracle._structure_of_bits
+
+        def counted(p, *bits):
+            calls.append(bits)
+            return wrap(p, *bits)
+
+        monkeypatch.setattr(oracle, "_structure_of_bits", counted)
+        return calls
+
+    @pytest.mark.parametrize("run", [
+        lambda: verify_random(2, 500, 1),
+        lambda: verify_exhaustive(2, max_n=2),
+    ], ids=["random", "exhaustive"])
+    def test_a_clean_run_builds_no_tables(self, monkeypatch, run):
+        calls = self.count_structures(monkeypatch)
+        report = run()
+        assert (report.verdict, len(calls)) == ("PASS", 0)
+
+    def test_each_failing_subset_builds_its_tables_once(self, monkeypatch):
+        patch_fill(monkeypatch, 2, set_extra_bits)
+        calls = self.count_structures(monkeypatch)
+        report = verify_exhaustive(2, max_n=2, failure_cap=1 << 20)
+        failing = {f.subset for f in report.failures}
+        assert len(report.failures) == report.failures_total  # none left untraced
+        assert 0 < len(failing) < report.subsets_checked
+        assert len(calls) == len(failing)
 
 
 class TestOneJobShape:
