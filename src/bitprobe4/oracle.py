@@ -1,16 +1,18 @@
 """Brute-force verification against ground truth, plus space accounting.
 
-Ground truth is always a direct membership test on the stored subset; the
-scheme side is `yes_set`, the elements a structure answers YES for, listed
-by inverting the probe map of each 1 bit of B and C (`_yes_bits` on ints, up
-to INVERSE_TABLE_MAX_B).  Exhaustive verification enumerates every subset up
-to the size cap and checks every universe element; randomized verification
-draws seeded subsets from a splitmix64 stream, so identical seeds reproduce
-identical reports on any platform.  Above b = 4 it probes the members plus a
-seeded non-member sample, drawn only if a non-member answers YES, as only
-then can it change the report.  Subset checks are independent and can be
-spread over worker processes; partial results merge in enumeration order
-under one failure cap, so the report does not depend on the worker count.
+Ground truth is a direct membership test on the stored subset; the scheme
+side is `yes_set`, the elements a structure answers YES for, listed by
+inverting the probe map of each 1 bit of B and C (`_yes_bits` on ints, up to
+INVERSE_TABLE_MAX_B).  They meet in one place, `_check_subsets`: the wrong
+answers are their symmetric difference, and only those are traced with
+`query`.  Exhaustive verification enumerates every subset up to the size cap
+and checks every universe element; randomized verification draws seeded
+subsets from a splitmix64 stream, so identical seeds reproduce identical
+reports on any platform.  Above b = 4 it probes the members plus a seeded
+non-member sample, drawn only if a non-member answers YES, as only then can
+it change the report.  Subset checks are independent and can be spread over
+worker processes; partial results merge in enumeration order under one
+failure cap, so the report does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -66,13 +68,6 @@ class Failure(NamedTuple):
     expected: bool
     got: bool
     trace: ProbeTrace
-
-
-class CheckResult(NamedTuple):
-    queries: int
-    failures: list[Failure]
-    failures_total: int
-    trace_violations: int
 
 
 class VerifyReport(NamedTuple):
@@ -188,48 +183,6 @@ def _yes_bits(p: Params, ta: int, tb: int, tc: int) -> set[int]:
     return yes
 
 
-def check_membership(
-    st: Structure,
-    members: Iterable[int],
-    probes: Sequence[int] | None = None,
-    cap: int | None = 32,
-) -> CheckResult:
-    """Answer each probe with the two-probe rule and compare with membership.
-
-    `members` and `probes` are flat ordinals, and one outside [0, b**6)
-    raises ValueError; probes=None checks the whole universe in ascending
-    order, a probe sequence is checked in its order, duplicates included.
-    The wrong answers are `yes_set(st) ^ members`, so probes cost one set
-    lookup each, and nothing when no answer is wrong.  All are counted; the
-    first `cap` (all for None) are recorded with `scheme.query`'s trace as
-    evidence.  Every answer reads one A bit, then one B or C bit, so
-    `trace_violations` is 0 by construction.
-    """
-    p = st.params
-    m = p.universe_size
-    mem = frozenset(members)
-    if mem and not (0 <= min(mem) and max(mem) < m):
-        raise ValueError(f"member ordinals must lie in [0, {m})")
-    wrong = yes_set(st) ^ mem
-    if probes is None:
-        queries = m
-        hits: Iterable[int] = sorted(wrong)
-    else:
-        if probes and not (0 <= min(probes) and max(probes) < m):
-            raise ValueError(f"probe ordinals must lie in [0, {m})")
-        queries = len(probes)
-        hits = filter(wrong.__contains__, probes) if wrong else ()
-    subset_key = tuple(sorted(mem))
-    failures: list[Failure] = []
-    total = 0
-    for n in hits:
-        total += 1
-        if cap is None or len(failures) < cap:
-            trace = query(st, element_from_ordinal(p, n))[1]
-            failures.append(Failure(subset_key, n, n in mem, n not in mem, trace))
-    return CheckResult(queries, failures, total, 0)
-
-
 # ---------------------------------------------------------------------------
 # Deterministic random streams (splitmix64).
 
@@ -302,11 +255,13 @@ def _merge(b: int, partials: list[tuple], cap: int, elapsed: float) -> VerifyRep
 
 
 def _check_subsets(p: Params, cases: Iterable[tuple], cap: int) -> tuple:
-    """Build, classify and check each (subset, sample) case in one pass;
-    sample=None probes the universe, (seed, trial) the members and that
-    trial's NONMEMBER_PROBES non-members, drawn here only if one answers
-    YES.  Only a YES set that is not the members goes to `check_membership`,
-    capped at what is left of `cap`; up to INVERSE_TABLE_MAX_B the tables
+    """Build, classify and check each (subset, sample) case in one pass.  A
+    subset's wrong answers are its YES set ^ its members.  sample=None
+    probes the universe, so each fails, in ascending order; (seed, trial)
+    probes the members, then that trial's NONMEMBER_PROBES non-members,
+    drawn only if one answers YES, and each probe answered wrong fails, in
+    probe order.  All failures are counted, and those within what is left
+    of `cap` are traced with `query`; up to INVERSE_TABLE_MAX_B the tables
     stay ints until then, when they become a `Structure`.  Returns one
     partial for `_merge`."""
     hist = [0] * len(_CASE_ORDER)
@@ -325,13 +280,19 @@ def _check_subsets(p: Params, cases: Iterable[tuple], cap: int) -> tuple:
         subsets += 1
         queries += m if sample is None else len(combo) + NONMEMBER_PROBES
         if wrong := yes.symmetric_difference(combo):
-            st = _structure_of_bits(p, *bits) if small else st  # the same bits: filled once
-            probes = None if sample is None else combo
-            if sample is not None and not wrong.issubset(combo):  # a non-member answers YES
-                probes = [*combo, *_draw_nonmembers(*sample, NONMEMBER_PROBES, m, frozenset(combo))]
-            res = check_membership(st, combo, probes, cap - len(failures))
-            failures_total += res.failures_total
-            failures += res.failures
+            if sample is None:
+                hits = sorted(wrong)
+            else:
+                probes = combo
+                if not wrong.issubset(combo):  # a non-member answers YES
+                    probes = [*combo, *_draw_nonmembers(*sample, NONMEMBER_PROBES, m, frozenset(combo))]
+                hits = [n for n in probes if n in wrong]
+            failures_total += len(hits)
+            if traced := hits[: cap - len(failures)]:
+                st = _structure_of_bits(p, *bits) if small else st  # the same bits: filled once
+                for n in traced:
+                    trace = query(st, element_from_ordinal(p, n))[1]
+                    failures.append(Failure(combo, n, n in combo, n not in combo, trace))
     return subsets, queries, failures, failures_total, hist
 
 

@@ -1,19 +1,20 @@
 """Golden checks: answers, probe positions, draws and bytes that must not drift.
 
-The sweep kernel (`check_membership`) is compared element by element with
+The sweep kernel (`yes_set`) is compared element by element with
 `scheme.query`, on seeded structures as built and with single bits of
 tables A, B and C flipped.  A flipped B or C bit must change the kernel's
 answer for exactly the elements whose second probe reads that bit, which
-pins the kernel's probe positions to the ones `query` reports.  The
-digests below were recorded from the implementation that answered every
-element through `query`, except the clean-run report digests, which were
-recorded from the verifier that built each subset through
-`_group_ordinals`, `classify` and `assign_blocks`.  Faults are injected by
-`patch_fill` where the verifier fills a subset's tables: the ints of
-`_routing_bits` up to INVERSE_TABLE_MAX_B, where a `Structure` is built
-only for a subset that fails, and the `Structure` of `_fill_tables` above
-it.  Both homes take the same bits at the same positions, so the frozen
-evidence holds for either.
+pins the kernel's probe positions to the ones `query` reports; the
+verifier (`_check_subsets`) must report each wrong answer of the same flip
+with `query`'s answer and trace.  The digests below were recorded from the
+implementation that answered every element through `query`, except the
+clean-run report digests, which were recorded from the verifier that built
+each subset through `_group_ordinals`, `classify` and `assign_blocks`.
+Faults are injected by `patch_fill` where the verifier fills a subset's
+tables: the ints of `_routing_bits` up to INVERSE_TABLE_MAX_B, where a
+`Structure` is built only for a subset that fails, and the `Structure` of
+`_fill_tables` above it.  Both homes take the same bits at the same
+positions, so the frozen evidence holds for either.
 """
 
 import hashlib
@@ -25,10 +26,10 @@ from bitprobe4.geometry import INVERSE_TABLE_MAX_B, Params, element_from_ordinal
 from bitprobe4.oracle import (
     _draw_nonmembers,
     audit_bit_flips,
-    check_membership,
     draw_subset,
     verify_exhaustive,
     verify_random,
+    yes_set,
 )
 from bitprobe4.scheme import _structure_of_bits, build_from_ordinals, query
 from bitprobe4.tables import serialize
@@ -42,15 +43,6 @@ def probe_list(p: Params, subset: tuple[int, ...], t: int, nonmembers: int | Non
     if nonmembers is None:
         return list(range(p.universe_size))
     return list(subset) + _draw_nonmembers(11, t, nonmembers, p.universe_size, frozenset(subset))
-
-
-def kernel_yes(st, probes) -> set[int]:
-    """Elements the kernel answers YES for: with no members, every YES is
-    a recorded wrong answer."""
-    res = check_membership(st, [], probes, cap=None)
-    assert res.queries == len(probes) and res.trace_violations == 0
-    assert res.failures_total == len(res.failures)
-    return {f.element for f in res.failures}
 
 
 def reference(st, probes) -> dict[int, tuple]:
@@ -74,35 +66,44 @@ def flip_targets(st, ref, count, t):
 
 
 @pytest.mark.parametrize("b,nonmembers,flips", KERNEL_CASES)
-def test_kernel_agrees_with_query(b, nonmembers, flips):
+def test_kernel_agrees_with_query(b, nonmembers, flips, monkeypatch):
+    # The verifier draws its non-members from the stream of probe_list's,
+    # so the 10,000 it probes hold the `nonmembers` probed here.
     p = Params(b)
     for t in range(5):
         subset = draw_subset(3, t, t % 5, p.universe_size)
         st = build_from_ordinals(p, subset)
         probes = probe_list(p, subset, t, nonmembers)
+        sample = None if nonmembers is None else (11, t)
         ref = reference(st, probes)
-        base = kernel_yes(st, probes)
+        base = yes_set(st) & set(probes)
         assert base == {n for n, (got, _) in ref.items() if got}
-        assert base & set(probes) == set(subset)
-        clean = check_membership(st, subset, probes)
-        assert (clean.failures_total, clean.trace_violations) == (0, 0)
+        assert base == set(subset)
 
-        tables = {"A": st.table_a, "B": st.table_b, "C": st.table_c}
         for name, pos in flip_targets(st, ref, flips, t):
-            tables[name].flip(pos)
+            flip_bit(st, name, pos)
             try:
-                flipped = kernel_yes(st, probes)
+                flipped = yes_set(st) & set(probes)
                 after = reference(st, probes)
                 assert flipped == {n for n, (got, _) in after.items() if got}, (name, pos)
                 if name != "A":
                     readers = {n for n, (_, trace) in ref.items() if trace[1][:2] == (name, pos)}
                     assert flipped ^ base == readers, (name, pos)
-                res = check_membership(st, subset, probes, cap=None)
-                for f in res.failures:
-                    assert f.trace == after[f.element][1]
-                    assert f.got == after[f.element][0] != f.expected
+                with monkeypatch.context() as mp:
+                    patch_fill(mp, b, lambda p, grouped, built: flip_bit(built, name, pos))
+                    _, _, failures, total, _ = oracle._check_subsets(p, [(subset, sample)], 1 << 20)
+                assert total == len(failures)
+                assert {f.element for f in failures} & set(probes) == flipped ^ set(subset), (name, pos)
+                for f in failures:
+                    got, trace = query(st, element_from_ordinal(p, f.element))
+                    assert f.trace == trace
+                    assert f.got == got != f.expected
             finally:
-                tables[name].flip(pos)
+                flip_bit(st, name, pos)
+
+
+def flip_bit(st, name, pos):
+    {"A": st.table_a, "B": st.table_b, "C": st.table_c}[name].flip(pos)
 
 
 # sha256 over ",".join of the sorted draw, for trials 0..4 of seed 1 at b=8.

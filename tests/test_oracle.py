@@ -12,7 +12,6 @@ from bitprobe4.geometry import INVERSE_TABLE_MAX_B, Params, element_from_ordinal
 from bitprobe4.oracle import (
     FeasibilityError,
     audit_bit_flips,
-    check_membership,
     draw_subset,
     space_audit,
     verify_exhaustive,
@@ -39,43 +38,44 @@ def report_key(report):
 
 
 class TestCheckMembership:
-    def test_clean_structure_passes(self):
-        st = build_from_ordinals(Params(2), [3, 17])
-        res = check_membership(st, [3, 17])
-        assert res.failures_total == 0 and res.trace_violations == 0
-        assert res.queries == 64
+    """The membership check of `_check_subsets`, on one subset at b=2."""
 
-    def test_flipped_bit_is_caught(self):
-        st = build_from_ordinals(Params(2), [3, 17])
-        st.table_b.flip(0)
-        st.table_c.flip(12)
-        res = check_membership(st, [3, 17])
-        assert res.failures_total >= 1
-        first = res.failures[0]
+    def test_clean_structure_passes(self):
+        partial = oracle._check_subsets(Params(2), [((3, 17), None)], 32)
+        report = oracle._merge(2, [partial], 32, 0.0)
+        assert report.failures_total == 0 and report.trace_violations == 0
+        assert report.queries_checked == 64
+
+    def test_flipped_bit_is_caught(self, monkeypatch):
+        def flip(p, grouped, st):
+            st.table_b.flip(0)
+            st.table_c.flip(12)
+
+        patch_fill(monkeypatch, 2, flip)
+        _, _, failures, total, _ = oracle._check_subsets(Params(2), [((3, 17), None)], 32)
+        assert total >= 1
+        first = failures[0]
         assert len(first.trace) == 2 and first.trace[0][0] == "A"
 
-    @pytest.mark.parametrize("probe", [-1, 64, 100])
-    def test_out_of_range_probe_rejected(self, probe):
-        st = build_from_ordinals(Params(2), [63])
-        with pytest.raises(ValueError, match="probe ordinals"):
-            check_membership(st, [], [0, probe])
-
-    @pytest.mark.parametrize("probes", [None, [0, 1]])
+    # probes: None checks the universe, (seed, trial) the members and a
+    # non-member sample.
+    @pytest.mark.parametrize("probes", [None, (1, 0)])
     @pytest.mark.parametrize("member", [-1, 64, 100])
     def test_out_of_range_member_rejected(self, member, probes):
         # A member no structure can answer YES for is a wrong answer that
         # no probe of [0, b**6) reaches; it must not pass silently.
-        st = build_from_ordinals(Params(2), [])
-        with pytest.raises(ValueError, match="member ordinals"):
-            check_membership(st, [member], probes)
+        with pytest.raises(ValueError, match=rf"ordinal {member} out of range \[0, 64\)"):
+            oracle._check_subsets(Params(2), [((member,), probes)], 32)
 
-    def test_failure_cap(self):
-        st = build_from_ordinals(Params(2), [])
-        for pos in range(st.table_b.nbits):
-            set_bit(st.table_b, pos, 1)
-        res = check_membership(st, [], cap=5)
-        assert len(res.failures) == 5
-        assert res.failures_total > 5
+    def test_failure_cap(self, monkeypatch):
+        def set_b(p, grouped, st):
+            for pos in range(st.table_b.nbits):
+                set_bit(st.table_b, pos, 1)
+
+        patch_fill(monkeypatch, 2, set_b)
+        _, _, failures, total, _ = oracle._check_subsets(Params(2), [((), None)], 5)
+        assert len(failures) == 5
+        assert total > 5
 
 
 class TestYesSet:
@@ -162,8 +162,13 @@ class TestLazySample:
         subsets, queries, failures, total, _ = oracle._check_subsets(p, [(combo, (2, 0))], 10_000)
         assert (subsets, queries) == (1, 4 + oracle.NONMEMBER_PROBES)
         assert len(calls) == (wrong == "false_positive")
-        eager_res = check_membership(st, combo, eager, cap=None)
-        assert (failures, total) == (eager_res.failures, eager_res.failures_total)
+        eager_failures = [
+            oracle.Failure(combo, n, n in combo, got, trace)
+            for n in eager
+            for got, trace in [query(st, element_from_ordinal(p, n))]
+            if got != (n in combo)
+        ]
+        assert (failures, total) == (eager_failures, len(eager_failures))
         assert target in [f.element for f in failures]
 
     def test_traces_stop_once_the_cap_is_full(self, monkeypatch):
@@ -284,6 +289,24 @@ class TestCleanRunsBuildNoTables:
         assert len(report.failures) == report.failures_total  # none left untraced
         assert 0 < len(failing) < report.subsets_checked
         assert len(calls) == len(failing)
+
+
+class TestOneYesSetPerSubset:
+    """`_check_subsets` computes each subset's YES set once, also for a
+    subset that fails: its wrong answers are traced from that set."""
+
+    @pytest.mark.parametrize("b, name, run", [
+        (2, "_yes_bits", lambda: verify_exhaustive(2, max_n=2)),
+        (6, "yes_set", lambda: verify_random(6, 20, 1)),
+    ], ids=["exhaustive-b2", "random-b6"])
+    def test_a_failing_run_computes_one_yes_set_per_subset(self, monkeypatch, b, name, run):
+        calls = []
+        inner = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda *args: calls.append(args) or inner(*args))
+        patch_fill(monkeypatch, b, set_extra_bits)
+        report = run()
+        assert report.failures_total > 0
+        assert len(calls) == report.subsets_checked
 
 
 class TestOneJobShape:
