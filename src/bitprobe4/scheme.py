@@ -27,7 +27,7 @@ two bits, the first always from table A.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .geometry import BlockAddr, ElementAddr, Params
 from .geometry import _new, element_from_ordinal, element_to_ordinal, validate_element
@@ -85,9 +85,9 @@ def _group_ordinals(p: Params, ordinals: Sequence[int]) -> dict[BlockAddr, set[i
     """Group flat ordinals by block, deduplicating them: the one home of
     grouping.  Raises ValueError for an ordinal outside [0, b**6), then
     CapacityError when more than MAX_MEMBERS distinct ordinals remain.  Up
-    to INVERSE_TABLE_MAX_B each distinct ordinal's block is read from the
-    `blocks` field of `Params._inverses`, shared by every subset; above it,
-    it is decoded by `element_from_ordinal`, which builds that table too."""
+    to INVERSE_TABLE_MAX_B ordinal n is element n % b of block `blocks[n // b]`
+    in `Params._inverses`, shared by every subset; above it, n is decoded by
+    `element_from_ordinal`, which builds that table too."""
     b, m = p.b, p.universe_size
     if ordinals and not (0 <= min(ordinals) and max(ordinals) < m):
         n = next(n for n in ordinals if not 0 <= n < m)
@@ -100,8 +100,10 @@ def _group_ordinals(p: Params, ordinals: Sequence[int]) -> dict[BlockAddr, set[i
     if inverses is not None:
         blocks = inverses.blocks
         for n in distinct:
-            q, i = divmod(n, b)
-            grouped.setdefault(blocks[q], set()).add(i)
+            if (blk := blocks[n // b]) in grouped:
+                grouped[blk].add(n % b)
+            else:
+                grouped[blk] = {n % b}
         return grouped
     for n in distinct:
         blk, i = element_from_ordinal(p, n)
@@ -115,10 +117,10 @@ def _routing_valid(
     to_b: list[BlockAddr],
     to_c: list[BlockAddr],
 ) -> bool:
-    """Check rules 2 to 4 for a candidate routing (rule 1 holds by shape)."""
+    """Check rules 2 to 4 of a candidate routing (1 holds by shape); all-B stops at 2."""
     lines_b = [(s, x - s * y) for s, x, y in to_b]
-    if len(set(lines_b)) != len(lines_b):
-        return False
+    if not (distinct := len(set(lines_b)) == len(lines_b)) or not to_c:
+        return distinct  # rule 2 broken, or no C-routed block for rules 3 and 4
     coords_c = [(x, y) for _, x, y in to_c]
     if len(set(coords_c)) != len(coords_c):
         return False
@@ -132,26 +134,35 @@ def _routing_valid(
     return True
 
 
+def _splits(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(B indices, C indices) of candidates k = 1, ..., 2**n - 1 of n blocks."""
+    for k in range(1, 1 << n):
+        yield tuple(j for j in range(n) if not k >> j & 1), tuple(j for j in range(n) if k >> j & 1)
+
+
+_SPLITS = [tuple(_splits(n)) for n in range(MAX_MEMBERS + 2)]  # 5 blocks still try all 32
+
+
 def assign_blocks(p: Params, non_empty: Iterable[BlockAddr]) -> Assignment:
     """Route each non-empty block to table B or C, deterministically.
 
     `non_empty` holds distinct blocks, at most MAX_MEMBERS of them, as
     `_group_ordinals` yields them; they are not checked again.  Blocks are
-    sorted by (s, x, y); candidate bitmasks k = 0, 1, 2, ... are tried in
-    order, bit j of k sending block j to table C.  The first valid routing
-    wins, so equal block sets always produce equal assignments regardless of
-    member counts inside the blocks or the order of `non_empty`.
+    sorted by (s, x, y); masks k = 0, 1, 2, ... (bit j of k sends block j to
+    table C, as split by `_SPLITS`) go through `_routing_valid` in order.
+    The first valid routing wins, so equal block sets always produce equal
+    assignments regardless of member counts or the order of `non_empty`.
     """
     blocks = sorted(non_empty)
     n = len(blocks)
     block_set = frozenset(blocks)
     if _routing_valid(p, block_set, blocks, []):  # k = 0: all blocks to B
         return _new(Assignment, (block_set, frozenset()))
-    for k in range(1, 1 << n):
-        to_b = [blocks[j] for j in range(n) if not k >> j & 1]
-        to_c = [blocks[j] for j in range(n) if k >> j & 1]
+    for bi, ci in _SPLITS[n] if n < len(_SPLITS) else _splits(n):
+        to_b = [blocks[j] for j in bi]
+        to_c = [blocks[j] for j in ci]
         if _routing_valid(p, block_set, to_b, to_c):
-            return Assignment(frozenset(to_b), frozenset(to_c))
+            return _new(Assignment, (frozenset(to_b), frozenset(to_c)))
     raise AssignmentError(
         f"no valid routing for blocks {blocks}; this contradicts the scheme's "
         f"correctness guarantee for at most {MAX_MEMBERS} blocks"
@@ -200,21 +211,22 @@ def _fill_tables(
 def _routing_bits(
     p: Params, grouped: Mapping[BlockAddr, set[int]], asg: Assignment
 ) -> tuple[int, int, int]:
-    """Tables A, B and C of a routing as ints, up to INVERSE_TABLE_MAX_B."""
-    b, masks = p.b, p._inverses.line_masks
+    """Tables A, B and C of a routing as ints, up to INVERSE_TABLE_MAX_B; the
+    positions of `Params.b_slot`, `a_pos` and `c_pos`, their home, inlined as in `query`."""
+    b, g, zero, masks = p.b, p.grid_side, p.b_zero, p._inverses.line_masks
     a = tb = tc = 0
     for blk in asg.placed_b:
         s, x, y = blk
-        slot = p.b_slot(s, x - s * y)
-        a |= masks[slot // b]  # the line: the mask `Params._inverses` keeps for its slot
-        a ^= 1 << p.a_pos(s, x, y)  # set by the OR, so this clears it
+        line = zero[s - 1] // b + x - s * y  # its B line ordinal: b_slot is line*b
+        a |= masks[line]
+        a ^= 1 << ((s - 1) * g + y) * g + x  # set by the OR, so this clears it
         for i in grouped[blk]:
-            tb |= 1 << slot + i
+            tb |= 1 << line * b + i
     for blk in asg.placed_c:
         s, x, y = blk
-        a |= 1 << p.a_pos(s, x, y)
+        a |= 1 << ((s - 1) * g + y) * g + x
         for i in grouped[blk]:
-            tc |= 1 << p.c_pos(x, y, i)
+            tc |= 1 << (y * g + x) * b + i
     return a, tb, tc
 
 

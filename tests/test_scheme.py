@@ -1,4 +1,5 @@
 import pickle
+import random
 import tracemalloc
 from itertools import permutations
 
@@ -17,6 +18,7 @@ from bitprobe4.geometry import (
 from bitprobe4 import scheme
 from bitprobe4.scheme import (
     Assignment,
+    AssignmentError,
     CapacityError,
     CaseLabel,
     assign_blocks,
@@ -180,25 +182,82 @@ class TestAssignBlocks:
         assert asg.placed_b == frozenset([BlockAddr(1, 3, 3)])
         assert asg.placed_c == frozenset(blocks[:3])
 
-    def test_every_candidate_goes_through_routing_valid(self, monkeypatch):
-        # the one-line case above wins at mask k = 7: masks 0..7 are each
-        # checked once, in order, the all-B candidate (k = 0) included
-        p = Params(2)
-        blocks = [BlockAddr(1, k, k) for k in range(4)]
+    @staticmethod
+    def record_candidates(monkeypatch, verdict=None):
+        """Patch `scheme._routing_valid` to record each candidate's (to_b,
+        to_c) and return `verdict`, or the real verdict when it is None."""
         seen = []
         valid = scheme._routing_valid
 
         def recording(p, non_empty, to_b, to_c):
             seen.append((list(to_b), list(to_c)))
-            return valid(p, non_empty, to_b, to_c)
+            return valid(p, non_empty, to_b, to_c) if verdict is None else verdict
 
         monkeypatch.setattr(scheme, "_routing_valid", recording)
-        assign_blocks(p, blocks)
+        return seen
+
+    @staticmethod
+    def candidates(blocks, count):
+        """Masks 0..count-1 as (to_b, to_c): bit j of k sends block j to C."""
         expected = []
-        for k in range(8):
+        for k in range(count):
             to_c = [blk for j, blk in enumerate(blocks) if k >> j & 1]
             expected.append(([blk for blk in blocks if blk not in to_c], to_c))
-        assert seen == expected
+        return expected
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_every_candidate_goes_through_routing_valid(self, monkeypatch, n):
+        # n blocks on one line: masks 0..k* are each checked once, in order,
+        # the all-B candidate (k = 0) included, where k* is the winning mask
+        # (0, 0, 1, 3 and 7 for 0 to 4 blocks; see the one-line case above)
+        p = Params(2)
+        blocks = [BlockAddr(1, k, k) for k in range(n)]
+        seen = self.record_candidates(monkeypatch)
+        asg = assign_blocks(p, blocks)
+        k_star = sum(1 << j for j, blk in enumerate(blocks) if blk in asg.placed_c)
+        assert k_star == [0, 0, 1, 3, 7][n]
+        assert seen == self.candidates(blocks, k_star + 1)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_no_valid_candidate_tries_every_mask(self, monkeypatch, n):
+        # past MAX_MEMBERS, blocks are still routed: all 2**n masks are
+        # checked in order, then AssignmentError is raised
+        p = Params(3)
+        blocks = [BlockAddr(1, k, k) for k in range(n)]
+        seen = self.record_candidates(monkeypatch, verdict=False)
+        with pytest.raises(AssignmentError):
+            assign_blocks(p, blocks)
+        assert seen == self.candidates(blocks, 1 << n)
+
+    def test_routing_valid_matches_reference(self):
+        """`_routing_valid` against rules 2-4 written from their statement,
+        on every split of seeded 1-4 block configurations into B and C."""
+
+        def reference(grid, blocks, to_b, to_c):
+            lines_b = [(s, x - s * y) for s, x, y in to_b]
+            coords_c = [(x, y) for _, x, y in to_c]
+            if len(set(lines_b)) < len(lines_b) or len(set(coords_c)) < len(coords_c):
+                return False, False  # rule 2 or 3
+            rule_4 = not any(
+                all(blocked_status(blk, to_b, to_c))  # blocked from B and from C
+                for blk in grid if blk not in blocks
+            )
+            return rule_4, True
+
+        outcomes = set()
+        for b, configs in ((2, 500), (3, 100)):
+            p = Params(b)
+            grid = all_blocks(p)
+            rng = random.Random(b)
+            for t in range(configs):
+                blocks = sorted(rng.sample(grid, 1 + t % 4))
+                non_empty = frozenset(blocks)
+                for to_b, to_c in self.candidates(blocks, 1 << len(blocks)):
+                    expected, rules_2_3 = reference(grid, non_empty, to_b, to_c)
+                    assert scheme._routing_valid(p, non_empty, to_b, to_c) == expected, (to_b, to_c)
+                    outcomes.add((not to_c, rules_2_3, expected))
+        # all-B candidates pass and fail, and rule 4 alone rejects some splits
+        assert {(True, True, True), (True, False, False), (False, True, False)} <= outcomes
 
     def test_crossing_lines_with_coincident_pair(self):
         # two blocks per line, lines crossing at (1, 1): the coincident pair
