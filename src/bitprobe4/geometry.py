@@ -22,7 +22,9 @@ anchored on the x-axis at integer anchors a with
 A block at (x, y) in superblock s lies on exactly one such line, the one
 with anchor a = x - s*y.  The family for superblock s therefore has
 (s + 1) * (b**2 - 1) + 1 lines, every line holds at least one grid point,
-and lines from different superblocks intersect in at most one point.
+and lines from different superblocks intersect in at most one point.  One
+int names a line, its B line ordinal (`Params.line`), the lines numbered in
+table B's order: superblock first, then ascending anchor.
 """
 
 from __future__ import annotations
@@ -36,11 +38,11 @@ _new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 # Up to this b, grouping, `scheme._routing_bits` and `oracle._yes_bits` read
 # the block table and line masks of `Params._inverses`, and a verified subset's
 # tables A, B and C stay ints; above it, `_fill_tables` and `yes_set` walk
-# `line_blocks` and `b_line` on bytes.  Built once per b and process, the table
-# takes 0.04 ms and 3 KiB at b = 2, 0.24 ms and 23 KiB at b = 3, 0.9 ms and
-# 106 KiB at b = 4, 2.7 ms and 385 KiB at b = 5, 6.5 ms and 1.2 MiB at b = 6,
-# and 33 ms and 9.9 MiB at b = 8, where one `verify_random(8, 200, jobs=2)`
-# call lasts about 30 ms (2-vCPU VM, Python 3.11, size under `tracemalloc`).
+# `line_blocks` on bytes.  Built once per b and process, the table takes
+# 0.04 ms and 3 KiB at b = 2, 0.24 ms and 23 KiB at b = 3, 0.9 ms and 106 KiB
+# at b = 4, 2.7 ms and 385 KiB at b = 5, 6.5 ms and 1.2 MiB at b = 6, and
+# 33 ms and 9.9 MiB at b = 8, where one `verify_random(8, 200, jobs=2)` call
+# lasts about 30 ms (2-vCPU VM, Python 3.11, size under `tracemalloc`).
 INVERSE_TABLE_MAX_B = 5
 
 
@@ -67,12 +69,10 @@ class LineRef(NamedTuple):
 
 
 class _Inverses(NamedTuple):
-    """The small-b table of `Params`.  line_masks[pos // b] is the line
-    owning B bit pos, as one int with a set bit per A position on it (its
-    `line_blocks`), so the masks follow B's slots: superblock first, then
-    ascending anchor.  column_mask has a set bit at each A position reading
-    C bit 0 (`c_blocks(0)`), so C bit q*b + i is read at column_mask << q;
-    blocks[q] is the block at A position q."""
+    """The small-b table of `Params`.  line_masks[line] has a set bit per A
+    position on the line with that B line ordinal (its `line_blocks`).
+    column_mask has a set bit at each A position reading C bit 0 (`c_blocks(0)`),
+    so C bit q*b + i is read at column_mask << q; blocks[q] is the block at A position q."""
 
     line_masks: tuple[int, ...]
     column_mask: int
@@ -92,8 +92,11 @@ class _lazy:
 
     def __init__(self, fn):
         self.fn = fn
+        self.__doc__ = fn.__doc__  # so `help(Params)` shows it
 
     def __get__(self, obj, cls=None):
+        if obj is None:  # read on the class, as `pydoc` does
+            return self
         object.__setattr__(obj, self.fn.__name__, value := self.fn(obj))
         return value
 
@@ -151,12 +154,12 @@ class Params:
         return tuple(map(self.b_offset, range(1, self.b + 2)))
 
     @_lazy
-    def b_zero(self) -> tuple[int, ...]:
-        """B(line, 0) of line (s, 0) for s = 1, ..., b, built on first read:
-        b_offset(s) + s*(b**2 - 1)*b, the base that `b_slot` and `b_line`
-        add anchor*b to."""
-        w = (self.grid_side - 1) * self.b
-        return tuple(off + s * w for s, off in enumerate(self.b_offsets[:-1], 1))
+    def line_zero(self) -> tuple[int, ...]:
+        """The B line ordinal of line (s, 0) for s = 1, ..., b, built on
+        first read: b_offset(s) // b + s*(b**2 - 1), the base that `line`
+        adds the anchor x - s*y to."""
+        w = self.grid_side - 1
+        return tuple(off // self.b + s * w for s, off in enumerate(self.b_offsets[:-1], 1))
 
     @_lazy
     def table_sizes(self) -> tuple[int, int, int]:
@@ -172,9 +175,10 @@ class Params:
         """A(s, x, y), which is also the block's ordinal n // b."""
         return (s - 1) * self.blocks_per_superblock + y * self.grid_side + x
 
-    def b_slot(self, s: int, anchor: int) -> int:
-        """B(line, 0) of line (s, anchor); B(line, i) = b_zero[s-1] + anchor*b + i."""
-        return self.b_zero[s - 1] + anchor * self.b
+    def line(self, s: int, x: int, y: int) -> int:
+        """The B line ordinal of block (s, x, y)'s line, the one home of a
+        block's line: its slot in B is line*b, and B(line, i) = line*b + i."""
+        return self.line_zero[s - 1] + x - s * y
 
     def c_pos(self, x: int, y: int, i: int) -> int:
         return (y * self.grid_side + x) * self.b + i
@@ -186,21 +190,22 @@ class Params:
         `cached_params`."""
         if self.b > INVERSE_TABLE_MAX_B:
             return None
-        b = self.b
-        slots = range(0, self.table_sizes[1], b)  # B(line, 0) of every line, in B's order
         return _Inverses(
-            tuple(_mask(self.line_blocks(*self.b_line(pos)[:2])) for pos in slots),
+            tuple(map(_mask, map(self.line_blocks, range(self.table_sizes[1] // self.b)))),
             _mask(self.c_blocks(0)[0]),
-            tuple(element_from_ordinal(self, q * b).block for q in range(self.num_blocks)),
+            tuple(element_from_ordinal(self, q * self.b).block for q in range(self.num_blocks)),
         )
 
-    def line_blocks(self, s: int, anchor: int) -> range:
-        """A positions of the blocks on line (s, anchor), by increasing y.
+    def line_blocks(self, line: int) -> range:
+        """A positions of the blocks on a line, by increasing y: the inverse of `line`.
 
-        The grid points are the integer solutions of x = anchor + s*y inside
-        [0, b**2)^2, so the positions (s - 1)*b**4 + y*b**2 + x form the
-        progression (s - 1)*b**4 + anchor + y*(b**2 + s).
+        The line is (s, anchor = line - line_zero[s - 1]); its grid points are
+        the integer solutions of x = anchor + s*y inside [0, b**2)^2, so the
+        positions (s - 1)*b**4 + y*b**2 + x form the progression
+        (s - 1)*b**4 + anchor + y*(b**2 + s).
         """
+        s = bisect_right(self.b_offsets, line * self.b)
+        anchor = line - self.line_zero[s - 1]
         g = self.grid_side
         y_lo = -(anchor // s) if anchor < 0 else 0  # max and min, without the calls
         y_hi = (g - 1 - anchor) // s + 1
@@ -208,12 +213,6 @@ class Params:
             y_hi = g
         base = (s - 1) * self.blocks_per_superblock + anchor
         return range(base + y_lo * (g + s), base + y_hi * (g + s), g + s)
-
-    def b_line(self, pos: int) -> tuple[int, int, int]:
-        """Inverse of B: the line (s, anchor) and index i of B bit pos."""
-        s = bisect_right(self.b_offsets, pos)
-        anchor, i = divmod(pos - self.b_zero[s - 1], self.b)
-        return s, anchor, i
 
     def c_blocks(self, pos: int) -> tuple[range, int]:
         """Inverse of C: the A positions of the blocks reading C bit pos,
@@ -305,4 +304,4 @@ def points_on_line(p: Params, l: LineRef) -> list[tuple[int, int]]:
     g = p.grid_side
     if not -s * (g - 1) <= anchor < g:
         raise ValueError(f"anchor {anchor} out of range [{-s * (g - 1)}, {g})")
-    return [(n % g, n // g % g) for n in p.line_blocks(s, anchor)]
+    return [(n % g, n // g % g) for n in p.line_blocks(p.line_zero[s - 1] + anchor)]

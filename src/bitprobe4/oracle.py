@@ -122,13 +122,13 @@ def yes_set(st: Structure) -> set[int]:
     bit of B.
 
     A 1 bit of C at c is read by the elements (s - 1)*b**5 + c whose A bit
-    is 1; a 1 bit of B at index i of a line's slot is read by index i of
-    each block on that line whose A bit is 0 (`geometry.Params` inverts
-    both).  A slot holds two 1 bits only when two members share a B-routed
-    block, so the walk is not shared between the bits of one slot.  Up to
-    INVERSE_TABLE_MAX_B the tables are read once as ints and walked by
-    `_yes_bits`; above it, `b_line` finds each B bit's line and A is read a
-    byte per block.
+    is 1; a 1 bit of B at pos = line*b + i is read by index i of each block
+    on the line with B line ordinal pos // b whose A bit is 0
+    (`geometry.Params` inverts both).  A slot holds two 1 bits only when two
+    members share a B-routed block, so the walk is not shared between the
+    bits of one slot.  Up to INVERSE_TABLE_MAX_B the tables are read once
+    as ints and walked by `_yes_bits`; above it, `line_blocks` walks each B
+    bit's line and A is read a byte per block.
     """
     p = st.params
     b = p.b
@@ -142,8 +142,8 @@ def yes_set(st: Structure) -> set[int]:
                 if ta[a >> 3] >> (a & 7) & 1:
                     yes.add(a * b + i)
         for pos in st.table_b.ones():
-            s, anchor, i = p.b_line(pos)
-            for a in p.line_blocks(s, anchor):
+            i = pos % b
+            for a in p.line_blocks(pos // b):
                 if not ta[a >> 3] >> (a & 7) & 1:
                     yes.add(a * b + i)
         return yes

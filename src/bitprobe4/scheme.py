@@ -31,7 +31,7 @@ from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .geometry import BlockAddr, ElementAddr, Params
 from .geometry import _new, element_from_ordinal, element_to_ordinal, validate_element
-from .tables import BitTable, Structure
+from .tables import BitTable, Structure, checked_table_sizes
 
 MAX_MEMBERS = 4
 
@@ -118,7 +118,8 @@ def _routing_valid(
     to_c: list[BlockAddr],
 ) -> bool:
     """Check rules 2 to 4 of a candidate routing (1 holds by shape); all-B stops at 2."""
-    lines_b = [(s, x - s * y) for s, x, y in to_b]
+    zero = p.line_zero
+    lines_b = [zero[s - 1] + x - s * y for s, x, y in to_b]  # `Params.line`, inlined
     if not (distinct := len(set(lines_b)) == len(lines_b)) or not to_c:
         return distinct  # rule 2 broken, or no C-routed block for rules 3 and 4
     coords_c = [(x, y) for _, x, y in to_c]
@@ -127,9 +128,9 @@ def _routing_valid(
     # Rule 4: a doubly blocked empty block would sit at a C-routed block's
     # coordinates, inside a B-routed block's superblock, on that block's
     # line.  Enumerate those (few) candidates instead of all empty blocks.
-    for s, anchor in lines_b:
+    for (s, _, _), line in zip(to_b, lines_b):
         for x, y in coords_c:
-            if x - s * y == anchor and BlockAddr(s, x, y) not in non_empty:
+            if p.line(s, x, y) == line and BlockAddr(s, x, y) not in non_empty:
                 return False
     return True
 
@@ -188,14 +189,13 @@ def _fill_tables(
         st = Structure.empty(p)
         a, tb, tc = st.table_a.data, st.table_b.data, st.table_c.data
         for blk in asg.placed_b:
-            s, x, y = blk
-            for pos in p.line_blocks(s, x - s * y):
+            line = p.line(*blk)
+            for pos in p.line_blocks(line):
                 a[pos >> 3] |= 1 << (pos & 7)
-            pos = p.a_pos(s, x, y)
+            pos = p.a_pos(*blk)
             a[pos >> 3] &= ~(1 << (pos & 7))
-            slot = p.b_slot(s, x - s * y)
             for i in grouped[blk]:
-                pos = slot + i
+                pos = line * p.b + i
                 tb[pos >> 3] |= 1 << (pos & 7)
         for blk in asg.placed_c:
             s, x, y = blk
@@ -212,12 +212,12 @@ def _routing_bits(
     p: Params, grouped: Mapping[BlockAddr, set[int]], asg: Assignment
 ) -> tuple[int, int, int]:
     """Tables A, B and C of a routing as ints, up to INVERSE_TABLE_MAX_B; the
-    positions of `Params.b_slot`, `a_pos` and `c_pos`, their home, inlined as in `query`."""
-    b, g, zero, masks = p.b, p.grid_side, p.b_zero, p._inverses.line_masks
+    positions of `Params.line`, `a_pos` and `c_pos`, their home, inlined as in `query`."""
+    b, g, zero, masks = p.b, p.grid_side, p.line_zero, p._inverses.line_masks
     a = tb = tc = 0
     for blk in asg.placed_b:
         s, x, y = blk
-        line = zero[s - 1] // b + x - s * y  # its B line ordinal: b_slot is line*b
+        line = zero[s - 1] + x - s * y  # `Params.line`, inlined
         a |= masks[line]
         a ^= 1 << ((s - 1) * g + y) * g + x  # set by the OR, so this clears it
         for i in grouped[blk]:
@@ -246,7 +246,8 @@ def build(p: Params, members: Iterable[ElementAddr]) -> Structure:
 
 
 def build_from_ordinals(p: Params, ordinals: Iterable[int]) -> Structure:
-    """Build from flat element ordinals instead of addresses."""
+    """Build from flat element ordinals instead of addresses; refuses an oversized b first."""
+    checked_table_sizes(p)
     grouped = _group_ordinals(p, tuple(ordinals))
     return _fill_tables(p, grouped, assign_blocks(p, grouped.keys()))
 
@@ -257,7 +258,7 @@ def query(st: Structure, e: ElementAddr) -> tuple[bool, ProbeTrace]:
     Returns the answer and the trace of both probes; the first probe is
     always in table A, the second in B (A bit 0) or C (A bit 1).  The
     answer is the second bit as `True` or `False`.  The positions are those
-    of `Params.a_pos`, `b_slot` (from `Params.b_zero`) and `c_pos`, still
+    of `Params.a_pos`, `line` (from `Params.line_zero`) and `c_pos`, still
     inlined here; `Params` stays their one home.
     """
     p = st.params
@@ -270,7 +271,7 @@ def query(st: Structure, e: ElementAddr) -> tuple[bool, ProbeTrace]:
         pos = (y * g + x) * b + i
         bit = st.table_c.data[pos >> 3] >> (pos & 7) & 1
         return _BOOL[bit], (("A", a_pos, 1), ("C", pos, bit))
-    pos = p.b_zero[s - 1] + (x - s * y) * b + i
+    pos = (p.line_zero[s - 1] + x - s * y) * b + i  # `Params.line`, inlined
     bit = st.table_b.data[pos >> 3] >> (pos & 7) & 1
     return _BOOL[bit], (("A", a_pos, 0), ("B", pos, bit))
 
@@ -279,14 +280,15 @@ def classify(p: Params, blocks: Collection[BlockAddr]) -> CaseLabel:
     """Diagnostic case label of a non-empty block configuration.
 
     `blocks` is any sized collection of distinct blocks (a list, a set, a
-    dict's keys), not checked; `p` is unused.  The label counts lines and
-    coordinates only, so block order does not change it, and fewer than
-    four blocks all share one label.
+    dict's keys), not checked; `p` names each block's line by its B line
+    ordinal.  The label counts lines and coordinates only, so block order
+    does not change it, and fewer than four blocks all share one label.
     """
     if len(blocks) < 4:
         return CaseLabel.FEWER_THAN_4_BLOCKS
 
-    lines = [(s, x - s * y) for s, x, y in blocks]  # `line_of`, as plain tuples
+    zero = p.line_zero
+    lines = [zero[s - 1] + x - s * y for s, x, y in blocks]  # `Params.line`, inlined
     distinct = len(set(lines))
     if distinct == 4:
         return CaseLabel.I
@@ -306,13 +308,12 @@ def classify(p: Params, blocks: Collection[BlockAddr]) -> CaseLabel:
     if mults[:2] == [2, 2]:
         return CaseLabel.IVB
     if mults[0] == 2:
-        double_line = next(ln for ln, c in line_count.items() if c == 2)
+        ds, double_line = next((s, ln) for (s, _, _), ln in zip(blocks, lines) if line_count[ln] == 2)
         pair_xy = next(xy for xy, c in coord_count.items() if c == 2)
         # Singleton-line blocks outside the coincident pair decide the
         # subcase: all on the doubly occupied line's geometry -> IVC_i.
-        ds, da = double_line
         for (_, x, y), ln in zip(blocks, lines):
-            if line_count[ln] == 1 and (x, y) != pair_xy and x - ds * y != da:
+            if line_count[ln] == 1 and (x, y) != pair_xy and p.line(ds, x, y) != double_line:
                 return CaseLabel.IVC_ii
         return CaseLabel.IVC_i
     return CaseLabel.IVD

@@ -20,12 +20,10 @@ where offset(s) accumulates num_lines(j) * b over superblocks j < s:
 
     offset(s)     = b * ((b**2 - 1) * (s - 1) * (s + 2) / 2 + s - 1)
 
-and line_ordinal((s, anchor)) = anchor + s * (b**2 - 1).  `Params` keeps one
-base per superblock, the slot of line (s, 0),
-
-    b_zero[s - 1] = offset(s) + s * (b**2 - 1) * b
-
-and reads B as b_zero[s - 1] + anchor * b + i.
+and line_ordinal((s, anchor)) = anchor + s * (b**2 - 1).  `Params` names a
+line by its B line ordinal offset(s) / b + line_ordinal(line), read as B
+bits line * b + i; block (s, x, y) lies on line line_zero[s - 1] + x - s*y
+(`Params.line`), where line_zero[s - 1] = offset(s) / b + s * (b**2 - 1).
 
 Bits pack least-significant-bit first: bit k lives in byte k // 8 at bit
 position k % 8.  The serialized file is magic "BP42", a version byte, b as

@@ -118,7 +118,7 @@ def test_criterion_2_randomized_correctness():
 def probe_violations(b: int, subsets: int) -> tuple[int, int]:
     """Query every element of `subsets` seeded 4-subsets at b and count the
     traces read and those breaking the two-probe rule: first ("A", a_pos),
-    then B at b_slot + i when that A bit is 0 and C at c_pos when it is 1,
+    then B at line*b + i when that A bit is 0 and C at c_pos when it is 1,
     with the answer equal to the second bit read."""
     p = Params(b)
     m = p.universe_size
@@ -126,7 +126,7 @@ def probe_violations(b: int, subsets: int) -> tuple[int, int]:
     for n in range(m):
         e = element_from_ordinal(p, n)
         (s, x, y), i = e
-        b_pos = p.b_slot(*line_of(e.block)) + i
+        b_pos = p.line(s, x, y) * b + i
         expected.append((e, p.a_pos(s, x, y), (("B", b_pos), ("C", p.c_pos(x, y, i)))))
     traces = violations = 0
     for t in range(subsets):

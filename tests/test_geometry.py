@@ -158,7 +158,7 @@ class TestPointsOnLine:
         for s in range(1, b + 1):
             for l in lines_of_superblock(p, s):
                 ordinals = [((s - 1) * g + y) * g + x for x, y in points_on_line(p, l)]
-                assert list(p.line_blocks(*l)) == ordinals
+                assert list(p.line_blocks(p.line_zero[s - 1] + l[1])) == ordinals
         with pytest.raises(ValueError):
             points_on_line(p, LineRef(1, g))
 
@@ -199,7 +199,7 @@ class TestLineOrdinal:
         for s in range(1, b + 1):
             ords = [line_ordinal(p, l) for l in lines_of_superblock(p, s)]
             assert ords == list(range(num_lines(p, s)))
-            slots = [p.b_slot(*l) for l in lines_of_superblock(p, s)]
+            slots = [(p.line_zero[s - 1] + a) * b for _, a in lines_of_superblock(p, s)]
             assert slots == [p.b_offset(s) + k * b for k in ords]
 
 

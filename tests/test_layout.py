@@ -7,12 +7,14 @@ bits `_fill_tables` sets, and the inversion in `yes_set`.  Hot loops that
 inline the arithmetic are pinned to `Params` by these checks, over every
 block, line, index and grid point for every b that has inverse tables and
 the first b above them (b = 2..6), so both the int path, which reads the
-tables, and the byte path, which walks `line_blocks` and `b_line`, are
-checked, and `_group_ordinals`' inline decode is pinned to
-`element_from_ordinal` over every ordinal.
+tables, and the byte path, which walks `line_blocks` from each line's B
+line ordinal (`Params.line`, or pos // b for B bit pos), are checked, and
+`_group_ordinals`' inline decode is pinned to `element_from_ordinal` over
+every ordinal.
 """
 
 import pickle
+import pydoc
 import random
 import re
 from itertools import combinations
@@ -95,10 +97,10 @@ def test_b_positions_and_inverse_agree(b):
     for l in lines(p):
         s, anchor = l
         for i in range(b):
-            pos = p.b_slot(s, anchor) + i
+            pos = (p.line_zero[s - 1] + anchor) * b + i
             doc = doc_position("B", b, s=s, line=l, i=i, line_ordinal=lambda l: line_ordinal(p, l))
             assert pos == doc
-            assert p.b_line(pos) == (s, anchor, i)
+            assert (pos // b, pos % b) == (p.b_offset(s) // b + line_ordinal(p, l), i)
             seen.add(pos)
     assert seen == set(range(p.table_sizes[1]))
     assert p.b_offsets == tuple(p.b_offset(s) for s in range(1, b + 2))
@@ -122,10 +124,12 @@ def test_line_blocks_are_the_lines_grid_points(b):
     p = Params(b)
     on_line: dict[LineRef, list[int]] = {}
     for blk in sorted(blocks(b), key=lambda k: (k.s, k.y, k.x)):
-        on_line.setdefault(LineRef(blk.s, blk.x - blk.s * blk.y), []).append(p.a_pos(*blk))
+        l = LineRef(blk.s, blk.x - blk.s * blk.y)
+        assert p.line(*blk) == p.b_offset(blk.s) // b + line_ordinal(p, l)
+        on_line.setdefault(l, []).append(p.a_pos(*blk))
     assert set(on_line) == set(lines(p))
-    for (s, anchor), expected in on_line.items():
-        assert list(p.line_blocks(s, anchor)) == expected
+    for l, expected in on_line.items():
+        assert list(p.line_blocks(p.b_offset(l.s) // b + line_ordinal(p, l))) == expected
 
 
 def all_a(p: Params, bit: int) -> Structure:
@@ -145,7 +149,7 @@ def test_query_trace_positions_agree(b):
         e = element_from_ordinal(p, n)
         (s, x, y), i = e
         a = p.a_pos(s, x, y)
-        assert query(via_b, e) == (False, (("A", a, 0), ("B", p.b_slot(s, x - s * y) + i, 0)))
+        assert query(via_b, e) == (False, (("A", a, 0), ("B", p.line(s, x, y) * b + i, 0)))
         assert query(via_c, e) == (False, (("A", a, 1), ("C", p.c_pos(x, y, i), 0)))
 
 
@@ -157,10 +161,10 @@ def test_fill_tables_sets_the_layout_bits(b):
         s, x, y = blk
         grouped = {blk: set(range(b))}
         st = _fill_tables(p, grouped, Assignment(frozenset([blk]), frozenset()))
-        slot = p.b_slot(s, x - s * y)
+        slot = p.line(*blk) * b
         assert list(st.table_b.ones()) == list(range(slot, slot + b))
         assert list(st.table_c.ones()) == []
-        assert set(st.table_a.ones()) == set(p.line_blocks(s, x - s * y)) - {p.a_pos(*blk)}
+        assert set(st.table_a.ones()) == set(p.line_blocks(p.line(*blk))) - {p.a_pos(*blk)}
         st = _fill_tables(p, grouped, Assignment(frozenset(), frozenset([blk])))
         assert list(st.table_b.ones()) == []
         assert list(st.table_c.ones()) == [p.c_pos(x, y, i) for i in range(b)]
@@ -232,7 +236,7 @@ class TestParamsCache:
         with pytest.raises(ParseError):
             deserialize(header)
         assert "b_offsets" not in vars(cached_params(b))
-        assert "b_zero" not in vars(cached_params(b))
+        assert "line_zero" not in vars(cached_params(b))
 
 
 def test_huge_b_builds_no_offsets():
@@ -240,23 +244,35 @@ def test_huge_b_builds_no_offsets():
     assert p.universe_size == (2**63 - 1) ** 6
     assert p.table_sizes[1] == p.b_offset(p.b + 1)
     assert "b_offsets" not in vars(p)
-    assert "b_zero" not in vars(p)
+    assert "line_zero" not in vars(p)
+
+
+def test_help_shows_the_lazy_docstrings():
+    # Read on the class, a lazy attribute is its descriptor, with its docstring.
+    text = pydoc.render_doc(Params, renderer=pydoc.plaintext)
+    for name in ("table_sizes", "b_offsets", "line_zero", "_inverses"):
+        doc = getattr(Params, name).__doc__
+        assert doc == vars(Params)[name].fn.__doc__
+        if not name.startswith("_"):
+            assert doc.splitlines()[0] in text, name
 
 
 @pytest.mark.parametrize("b", range(2, 9))
 def test_b_zero_is_the_slot_of_anchor_zero(b):
+    """line_zero[s - 1] is the B line ordinal of line (s, 0), so
+    line_zero[s - 1] * b is B's slot of anchor 0."""
     p = Params(b)
-    assert "b_zero" not in vars(p)
+    assert "line_zero" not in vars(p)
     offsets = [sum(num_lines(p, j) * b for j in range(1, s)) for s in range(1, b + 1)]
     expected = tuple(offsets[s - 1] + line_ordinal(p, (s, 0)) * b for s in range(1, b + 1))
-    assert p.b_zero == expected
-    assert p.b_zero is p.b_zero  # built once, then kept on the instance
+    assert tuple(z * b for z in p.line_zero) == expected
+    assert p.line_zero is p.line_zero  # built once, then kept on the instance
 
 
 class TestInverseTables:
     """Up to INVERSE_TABLE_MAX_B, `Params._inverses` is one table per b,
-    whose line masks are indexed by B slot; above it, it is None.
-    `line_blocks` and `b_line` are closed forms at every b, pinned to the
+    whose line masks are indexed by B line ordinal; above it, it is None.
+    `line` and `line_blocks` are closed forms at every b, pinned to the
     reference by the checks above."""
 
     @pytest.mark.parametrize("b", range(2, INVERSE_TABLE_MAX_B + 1))
@@ -265,9 +281,11 @@ class TestInverseTables:
         masks = p._inverses.line_masks
         assert p._inverses.line_masks is masks  # built once, then kept
         assert len(masks) * b == p.table_sizes[1]
-        for pos in range(p.table_sizes[1]):
-            s, anchor, _ = p.b_line(pos)
-            assert masks[pos // b] == _mask(p.line_blocks(s, anchor)), pos
+        for l in lines(p):
+            s, anchor = l
+            on_line = [p.a_pos(s, x, y) for x, y in grid(b) if x - s * y == anchor]
+            line = p.b_offset(s) // b + line_ordinal(p, l)
+            assert masks[line] == sum(1 << a for a in on_line) == _mask(p.line_blocks(line)), l
 
     def test_no_table_above_the_rule(self):
         # The line masks and the block table are fields of `_inverses`, so
@@ -301,8 +319,8 @@ def byte_path(b: int) -> Params:
 class TestTwoPaths:
     """Up to INVERSE_TABLE_MAX_B, `_group_ordinals`, `_fill_tables` and
     `yes_set` read the small-b table, A as an int and a line as the mask of
-    its B slot; with the table pre-set to None they take the byte path,
-    which walks `line_blocks` and `b_line`, and both paths give the same
+    its B line ordinal; with the table pre-set to None they take the byte
+    path, which walks `line_blocks`, and both paths give the same
     groups, the same bytes and the same YES sets."""
 
     def check(self, b, combos):

@@ -98,11 +98,11 @@ class TestYesSet:
 
     @pytest.mark.parametrize("b", [3, 4, INVERSE_TABLE_MAX_B + 1])
     def test_one_b_line_per_b_bit(self, monkeypatch, b):
-        # Above INVERSE_TABLE_MAX_B, yes_set inverts B positions through
-        # Params.b_line, once per 1 bit, also where three members share one
-        # block and its line slot and where the dense tables fill every
-        # slot with several bits; up to it, it reads the mask of each 1
-        # bit's slot and calls no b_line, with the same answers.
+        # Above INVERSE_TABLE_MAX_B, yes_set walks Params.line_blocks of
+        # line pos // b once per 1 bit at pos, also where three members
+        # share one block and its line slot and where the dense tables fill
+        # every slot with several bits; up to it, it reads the mask of each
+        # 1 bit's line and walks no line_blocks, with the same answers.
         p = Params(b)
         members = [0, 1, 2, b**5]
         dense = build_from_ordinals(p, [])
@@ -111,19 +111,19 @@ class TestYesSet:
             for pos in range(table.nbits):
                 set_bit(table, pos, next(stream) & 1)
         calls = []
-        b_line = Params.b_line
+        line_blocks = Params.line_blocks
 
-        def counting(self, pos):
-            calls.append(pos)
-            return b_line(self, pos)
+        def counting(self, line):
+            calls.append(line)
+            return line_blocks(self, line)
 
-        monkeypatch.setattr(Params, "b_line", counting)
+        monkeypatch.setattr(Params, "line_blocks", counting)
         for st, expected in ((build_from_ordinals(p, members), set(members)), (dense, None)):
             ones = list(st.table_b.ones())
-            assert len({b_line(p, pos)[:2] for pos in ones}) < len(ones)
+            assert len({pos // b for pos in ones}) < len(ones)
             calls.clear()
             got = yes_set(st)
-            assert calls == (ones if b > INVERSE_TABLE_MAX_B else [])
+            assert calls == ([pos // b for pos in ones] if b > INVERSE_TABLE_MAX_B else [])
             if expected is not None:
                 assert got == expected
 

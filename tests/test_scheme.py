@@ -314,6 +314,15 @@ class TestBuild:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_oversized_b_refused_before_routing(self):
+        # The routing reads `Params.line_zero`, whose b-entry tables an
+        # oversized b must never build; b = 1000 keeps them small enough
+        # that a regression fails here instead of exhausting memory.
+        p = Params(1000)
+        with pytest.raises(ValueError, match="over the limit"):
+            build_from_ordinals(p, [0, 1, 2, p.universe_size - 1])
+        assert "b_offsets" not in vars(p) and "line_zero" not in vars(p)
+
     def test_empty_subset_all_zero(self):
         st_ = build(Params(2), [])
         assert list(st_.table_a.ones()) == []
@@ -439,7 +448,7 @@ class TestQuery:
             assert (t1, p1) == ("A", p.a_pos(*e.block))
             assert v1 == get_bit(st_.table_a, p1)
             if v1 == 0:
-                assert (t2, p2) == ("B", p.b_slot(*line_of(e.block)) + e.i)
+                assert (t2, p2) == ("B", p.line(*e.block) * b + e.i)
             else:
                 assert (t2, p2) == ("C", p.c_pos(e.block.x, e.block.y, e.i))
 

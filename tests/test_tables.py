@@ -141,9 +141,9 @@ class TestIndexLayouts:
 
     def test_b_index_examples(self):
         p = Params(2)
-        assert p.b_slot(1, -3) == 0
-        assert p.b_slot(2, 3) + 1 == 33 == p.table_sizes[1] - 1
-        assert p.b_slot(2, -6) == 14
+        assert p.line(1, 0, 3) * 2 == 0  # line (1, -3)
+        assert p.line(2, 3, 0) * 2 + 1 == 33 == p.table_sizes[1] - 1  # line (2, 3)
+        assert p.line(2, 0, 3) * 2 == 14  # line (2, -6)
 
     @pytest.mark.parametrize("b", range(2, 7))
     def test_a_index_bijective(self, b):
@@ -173,9 +173,9 @@ class TestIndexLayouts:
     def test_b_index_bijective(self, b):
         p = Params(b)
         seen = {
-            p.b_slot(*l) + i
+            (p.line_zero[s - 1] + anchor) * b + i
             for s in range(1, b + 1)
-            for l in lines_of_superblock(p, s)
+            for _, anchor in lines_of_superblock(p, s)
             for i in range(b)
         }
         assert seen == set(range(p.table_sizes[1]))
