@@ -35,10 +35,11 @@ from typing import NamedTuple
 
 _new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 
-# Up to this b, grouping, `scheme._routing_bits` and `oracle._yes_bits` read
-# the block table and line masks of `Params._inverses`, and a verified subset's
-# tables A, B and C stay ints; above it, `_fill_tables` and `yes_set` walk
-# `line_blocks` on bytes.  Built once per b and process, the table takes
+# Up to this b, grouping and the verify kernel's int path
+# (`scheme._routing_bits`, `oracle._yes_bits`) read the block table and line
+# masks of `Params._inverses`, and a verified subset's tables A, B and C stay
+# ints; above it, the kernel calls `_fill_tables` and `yes_set`, which walk
+# `line_blocks` on bytes at every b.  Built once per b and process, the table takes
 # 0.04 ms and 3 KiB at b = 2, 0.24 ms and 23 KiB at b = 3, 0.9 ms and 106 KiB
 # at b = 4, 2.7 ms and 385 KiB at b = 5, 6.5 ms and 1.2 MiB at b = 6, and
 # 33 ms and 9.9 MiB at b = 8, where one `verify_random(8, 200, jobs=2)` call
@@ -69,8 +70,9 @@ class LineRef(NamedTuple):
 
 
 class _Inverses(NamedTuple):
-    """The small-b table of `Params`.  line_masks[line] has a set bit per A
-    position on the line with that B line ordinal (its `line_blocks`).
+    """The small-b table of `Params`, for grouping and the verify kernel's int
+    path.  line_masks[line] has a set bit per A position on the line with that
+    B line ordinal (its `line_blocks`).
     column_mask has a set bit at each A position reading C bit 0 (`c_blocks(0)`),
     so C bit q*b + i is read at column_mask << q; blocks[q] is the block at A position q."""
 
@@ -148,18 +150,13 @@ class Params:
     num_superblocks = property(lambda self: self.b, doc="Number of superblocks: b.")
 
     @_lazy
-    def b_offsets(self) -> tuple[int, ...]:
-        """b_offset(1), ..., b_offset(b + 1), built on first read; shared per
-        b through `cached_params`."""
-        return tuple(map(self.b_offset, range(1, self.b + 2)))
-
-    @_lazy
     def line_zero(self) -> tuple[int, ...]:
         """The B line ordinal of line (s, 0) for s = 1, ..., b, built on
-        first read: b_offset(s) // b + s*(b**2 - 1), the base that `line`
-        adds the anchor x - s*y to."""
-        w = self.grid_side - 1
-        return tuple(off // self.b + s * w for s, off in enumerate(self.b_offsets[:-1], 1))
+        first read and shared per b through `cached_params`: the one table
+        per superblock, b_offset(s) // b + s*(b**2 - 1), the base that
+        `line` adds the anchor x - s*y to."""
+        b, w = self.b, self.grid_side - 1
+        return tuple(self.b_offset(s) // b + s * w for s in range(1, b + 1))
 
     @_lazy
     def table_sizes(self) -> tuple[int, int, int]:
@@ -185,9 +182,9 @@ class Params:
 
     @_lazy
     def _inverses(self) -> "_Inverses | None":
-        """The small-b table, built on first use from the closed forms when
-        b <= INVERSE_TABLE_MAX_B, else None; shared per b through
-        `cached_params`."""
+        """The small-b table of grouping and the verify kernel's int path,
+        built on first use from the closed forms when b <= INVERSE_TABLE_MAX_B,
+        else None; shared per b through `cached_params`."""
         if self.b > INVERSE_TABLE_MAX_B:
             return None
         return _Inverses(
@@ -199,14 +196,17 @@ class Params:
     def line_blocks(self, line: int) -> range:
         """A positions of the blocks on a line, by increasing y: the inverse of `line`.
 
-        The line is (s, anchor = line - line_zero[s - 1]); its grid points are
-        the integer solutions of x = anchor + s*y inside [0, b**2)^2, so the
-        positions (s - 1)*b**4 + y*b**2 + x form the progression
+        The line is (s, anchor = line - line_zero[s - 1]), where s is the
+        first superblock whose last line, line_zero[s - 1] + b**2 - 1, is not
+        below it; its grid points are the integer solutions of
+        x = anchor + s*y inside [0, b**2)^2, so the positions
+        (s - 1)*b**4 + y*b**2 + x form the progression
         (s - 1)*b**4 + anchor + y*(b**2 + s).
         """
-        s = bisect_right(self.b_offsets, line * self.b)
-        anchor = line - self.line_zero[s - 1]
         g = self.grid_side
+        zero = self.line_zero
+        s = bisect_right(zero, line - g) + 1
+        anchor = line - zero[s - 1]
         y_lo = -(anchor // s) if anchor < 0 else 0  # max and min, without the calls
         y_hi = (g - 1 - anchor) // s + 1
         if y_hi > g:

@@ -2,8 +2,10 @@
 
 Ground truth is a direct membership test on the stored subset; the scheme
 side is `yes_set`, the elements a structure answers YES for, listed by
-inverting the probe map of each 1 bit of B and C (`_yes_bits` on ints, up to
-INVERSE_TABLE_MAX_B).  They meet in one place, `_check_subsets`: the wrong
+inverting the probe map of each 1 bit of B and C, on bytes.  Up to
+INVERSE_TABLE_MAX_B the verify kernel has an int path of its own: a subset's
+tables stay the ints of `_routing_bits`, and `_yes_bits` lists their YES set.
+Ground truth and YES set meet in one place, `_check_subsets`: the wrong
 answers are their symmetric difference, and only those are traced with
 `query`.  Exhaustive verification enumerates every subset up to the size cap
 and checks every universe element; randomized verification draws seeded
@@ -126,38 +128,30 @@ def yes_set(st: Structure) -> set[int]:
     on the line with B line ordinal pos // b whose A bit is 0
     (`geometry.Params` inverts both).  A slot holds two 1 bits only when two
     members share a B-routed block, so the walk is not shared between the
-    bits of one slot.  Up to INVERSE_TABLE_MAX_B the tables are read once
-    as ints and walked by `_yes_bits`; above it, `line_blocks` walks each B
-    bit's line and A is read a byte per block.
+    bits of one slot.  `line_blocks` walks each B bit's line and A is read
+    a byte per block, at every b.
     """
     p = st.params
     b = p.b
     yes: set[int] = set()
-    inverses = p._inverses
-    if inverses is None:
-        ta = st.table_a.data
-        for c in st.table_c.ones():
-            blocks, i = p.c_blocks(c)
-            for a in blocks:
-                if ta[a >> 3] >> (a & 7) & 1:
-                    yes.add(a * b + i)
-        for pos in st.table_b.ones():
-            i = pos % b
-            for a in p.line_blocks(pos // b):
-                if not ta[a >> 3] >> (a & 7) & 1:
-                    yes.add(a * b + i)
-        return yes
-    _, nb, nc = p.table_sizes
-    ta = int.from_bytes(st.table_a.data, "little")
-    # Bits past |B| and |C| are the last byte's padding, never read.
-    tb = int.from_bytes(st.table_b.data, "little") & (1 << nb) - 1
-    tc = int.from_bytes(st.table_c.data, "little") & (1 << nc) - 1
-    return _yes_bits(p, ta, tb, tc)
+    ta = st.table_a.data
+    for c in st.table_c.ones():
+        blocks, i = p.c_blocks(c)
+        for a in blocks:
+            if ta[a >> 3] >> (a & 7) & 1:
+                yes.add(a * b + i)
+    for pos in st.table_b.ones():
+        i = pos % b
+        for a in p.line_blocks(pos // b):
+            if not ta[a >> 3] >> (a & 7) & 1:
+                yes.add(a * b + i)
+    return yes
 
 
 def _yes_bits(p: Params, ta: int, tb: int, tc: int) -> set[int]:
-    """`yes_set` of tables given as ints, up to INVERSE_TABLE_MAX_B: the blocks
-    reading a 1 bit are one AND of A with a mask of `Params._inverses`."""
+    """`yes_set` of tables given as ints, up to INVERSE_TABLE_MAX_B: the
+    verify kernel's sweep of `_routing_bits`' ints (`_check_subsets`).  The
+    blocks reading a 1 bit are one AND of A with a mask of `Params._inverses`."""
     b, (masks, column, _) = p.b, p._inverses
     yes: set[int] = set()
     add = yes.add

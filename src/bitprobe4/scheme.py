@@ -179,40 +179,37 @@ def _fill_tables(
     Empty blocks default to A=0 (table B); blocks on a B-routed block's
     line are B-blocked and flip to A=1 (table C).  The line's bits include
     the B-routed block itself, whose own bit is cleared next; no other
-    B-routed block's line reaches it (rule 2).  Up to INVERSE_TABLE_MAX_B
-    the tables are the ints of `_routing_bits`, made bytes once; above it,
-    bits are written straight into the tables' bytes, a line walked
-    through `line_blocks`.
+    B-routed block's line reaches it (rule 2).  Bits are written straight
+    into the tables' bytes, a line walked through `line_blocks`, at every b.
     """
-    inverses = p._inverses
-    if inverses is None:
-        st = Structure.empty(p)
-        a, tb, tc = st.table_a.data, st.table_b.data, st.table_c.data
-        for blk in asg.placed_b:
-            line = p.line(*blk)
-            for pos in p.line_blocks(line):
-                a[pos >> 3] |= 1 << (pos & 7)
-            pos = p.a_pos(*blk)
-            a[pos >> 3] &= ~(1 << (pos & 7))
-            for i in grouped[blk]:
-                pos = line * p.b + i
-                tb[pos >> 3] |= 1 << (pos & 7)
-        for blk in asg.placed_c:
-            s, x, y = blk
-            pos = p.a_pos(s, x, y)
+    st = Structure.empty(p)
+    a, tb, tc = st.table_a.data, st.table_b.data, st.table_c.data
+    for blk in asg.placed_b:
+        line = p.line(*blk)
+        for pos in p.line_blocks(line):
             a[pos >> 3] |= 1 << (pos & 7)
-            for i in grouped[blk]:
-                pos = p.c_pos(x, y, i)
-                tc[pos >> 3] |= 1 << (pos & 7)
-        return st
-    return _structure_of_bits(p, *_routing_bits(p, grouped, asg))
+        pos = p.a_pos(*blk)
+        a[pos >> 3] &= ~(1 << (pos & 7))
+        for i in grouped[blk]:
+            pos = line * p.b + i
+            tb[pos >> 3] |= 1 << (pos & 7)
+    for blk in asg.placed_c:
+        s, x, y = blk
+        pos = p.a_pos(s, x, y)
+        a[pos >> 3] |= 1 << (pos & 7)
+        for i in grouped[blk]:
+            pos = p.c_pos(x, y, i)
+            tc[pos >> 3] |= 1 << (pos & 7)
+    return st
 
 
 def _routing_bits(
     p: Params, grouped: Mapping[BlockAddr, set[int]], asg: Assignment
 ) -> tuple[int, int, int]:
-    """Tables A, B and C of a routing as ints, up to INVERSE_TABLE_MAX_B; the
-    positions of `Params.line`, `a_pos` and `c_pos`, their home, inlined as in `query`."""
+    """Tables A, B and C of a routing as ints, up to INVERSE_TABLE_MAX_B: the
+    verify kernel's fill (`oracle._check_subsets`), the same bits as
+    `_fill_tables`.  The positions of `Params.line`, `a_pos` and `c_pos`,
+    their home, are inlined as in `query`."""
     b, g, zero, masks = p.b, p.grid_side, p.line_zero, p._inverses.line_masks
     a = tb = tc = 0
     for blk in asg.placed_b:

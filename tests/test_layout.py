@@ -6,11 +6,13 @@ the independent `reference` module, the positions in `query`'s trace, the
 bits `_fill_tables` sets, and the inversion in `yes_set`.  Hot loops that
 inline the arithmetic are pinned to `Params` by these checks, over every
 block, line, index and grid point for every b that has inverse tables and
-the first b above them (b = 2..6), so both the int path, which reads the
-tables, and the byte path, which walks `line_blocks` from each line's B
-line ordinal (`Params.line`, or pos // b for B bit pos), are checked, and
-`_group_ordinals`' inline decode is pinned to `element_from_ordinal` over
-every ordinal.
+the first b above them (b = 2..6).  `_fill_tables` and `yes_set` take the
+byte path at every b, which walks `line_blocks` from each line's B line
+ordinal (`Params.line`, or pos // b for B bit pos); the verify kernel's int
+path, which reads the inverse tables up to INVERSE_TABLE_MAX_B
+(`_routing_bits`, `_yes_bits`), is pinned to the byte path by
+`TestTwoPaths`, and `_group_ordinals`' inline decode is pinned to
+`element_from_ordinal` over every ordinal.
 """
 
 import pickle
@@ -32,11 +34,13 @@ from bitprobe4.geometry import (
     cached_params,
     element_from_ordinal,
 )
-from bitprobe4.oracle import draw_subset, verify_random, yes_set
+from bitprobe4.oracle import _yes_bits, draw_subset, verify_random, yes_set
 from bitprobe4.scheme import (
     Assignment,
     _fill_tables,
     _group_ordinals,
+    _routing_bits,
+    _structure_of_bits,
     assign_blocks,
     build_from_ordinals,
     query,
@@ -103,8 +107,10 @@ def test_b_positions_and_inverse_agree(b):
             assert (pos // b, pos % b) == (p.b_offset(s) // b + line_ordinal(p, l), i)
             seen.add(pos)
     assert seen == set(range(p.table_sizes[1]))
-    assert p.b_offsets == tuple(p.b_offset(s) for s in range(1, b + 2))
-    assert p.b_offsets[-1] == p.table_sizes[1]
+    # Superblock s's last line is line_zero[s - 1] + b**2 - 1, the line
+    # before superblock s + 1's first slot, and B ends after superblock b's.
+    assert [(z + b * b) * b for z in p.line_zero] == [p.b_offset(s) for s in range(2, b + 2)]
+    assert p.b_offset(b + 1) == p.table_sizes[1]
 
 
 @pytest.mark.parametrize("b", B_VALUES)
@@ -207,9 +213,10 @@ def test_offsets_cache_stays_bounded():
         with pytest.raises(ParseError):
             deserialize(header)
         hits = cached_params.cache_info().hits
-        p = cached_params(b)  # the entry deserialize made; offsets shared per b
+        p = cached_params(b)  # the entry deserialize made; line_zero shared per b
         assert cached_params.cache_info().hits == hits + 1
-        assert p.b_offsets is cached_params(b).b_offsets and p.b_offsets[-1] == p.table_sizes[1]
+        assert p.line_zero is cached_params(b).line_zero
+        assert (p.line_zero[-1] + b * b) * b == p.table_sizes[1]
         assert cached_params.cache_info().currsize <= bound
     assert bound == 32
 
@@ -235,7 +242,6 @@ class TestParamsCache:
         header = tables.MAGIC + bytes([tables.FORMAT_VERSION]) + b.to_bytes(8, "little")
         with pytest.raises(ParseError):
             deserialize(header)
-        assert "b_offsets" not in vars(cached_params(b))
         assert "line_zero" not in vars(cached_params(b))
 
 
@@ -243,14 +249,13 @@ def test_huge_b_builds_no_offsets():
     p = Params(2**63 - 1)
     assert p.universe_size == (2**63 - 1) ** 6
     assert p.table_sizes[1] == p.b_offset(p.b + 1)
-    assert "b_offsets" not in vars(p)
     assert "line_zero" not in vars(p)
 
 
 def test_help_shows_the_lazy_docstrings():
     # Read on the class, a lazy attribute is its descriptor, with its docstring.
     text = pydoc.render_doc(Params, renderer=pydoc.plaintext)
-    for name in ("table_sizes", "b_offsets", "line_zero", "_inverses"):
+    for name in ("table_sizes", "line_zero", "_inverses"):
         doc = getattr(Params, name).__doc__
         assert doc == vars(Params)[name].fn.__doc__
         if not name.startswith("_"):
@@ -310,30 +315,31 @@ class TestInverseTables:
 
 def byte_path(b: int) -> Params:
     """A fresh, uncached Params(b) whose small-b table is pre-set to None,
-    so grouping, fill and YES set take the path used above the rule."""
+    so grouping takes the path used above the rule."""
     p = Params(b)
     object.__setattr__(p, "_inverses", None)
     return p
 
 
 class TestTwoPaths:
-    """Up to INVERSE_TABLE_MAX_B, `_group_ordinals`, `_fill_tables` and
-    `yes_set` read the small-b table, A as an int and a line as the mask of
-    its B line ordinal; with the table pre-set to None they take the byte
-    path, which walks `line_blocks`, and both paths give the same
-    groups, the same bytes and the same YES sets."""
+    """Up to INVERSE_TABLE_MAX_B, `_group_ordinals` and the verify kernel's
+    int path (`_routing_bits`, `_yes_bits`) read the small-b table, A as an
+    int and a line as the mask of its B line ordinal; `_fill_tables` and
+    `yes_set` walk `line_blocks` on bytes, and grouping does not read the
+    table once it is pre-set to None.  Both paths give the same groups, the
+    same bytes and the same YES sets."""
 
     def check(self, b, combos):
-        table, closed = cached_params(b), byte_path(b)
-        assert table._inverses is not None
+        p, closed = cached_params(b), byte_path(b)
+        assert p._inverses is not None
         for combo in combos:
-            grouped = _group_ordinals(table, combo)
+            grouped = _group_ordinals(p, combo)
             assert grouped == _group_ordinals(closed, combo)
-            asg = assign_blocks(table, grouped)
-            st = _fill_tables(table, grouped, asg)
-            assert serialize(st) == serialize(_fill_tables(closed, grouped, asg)), combo
-            on_bytes = Structure(closed, st.table_a, st.table_b, st.table_c)
-            assert yes_set(st) == yes_set(on_bytes) == set(combo), combo
+            asg = assign_blocks(p, grouped)
+            bits = _routing_bits(p, grouped, asg)
+            st = _fill_tables(p, grouped, asg)
+            assert serialize(st) == serialize(_structure_of_bits(p, *bits)), combo
+            assert yes_set(st) == _yes_bits(p, *bits) == set(combo), combo
         assert vars(closed)["_inverses"] is None
 
     def test_b2_every_subset_up_to_two(self):
@@ -359,7 +365,9 @@ class TestTwoPaths:
                 set_bit(t, pos, 1 if full and t is not st.table_a else next(stream) & 1)
         got = yes_set(st)
         assert 0 < len(got) <= st.params.universe_size
-        assert got == yes_set(Structure(byte_path(b), st.table_a, st.table_b, st.table_c))
+        # set_bit writes no padding bit, so the ints hold the tables' bits alone.
+        bits = [int.from_bytes(t.data, "little") for t in (st.table_a, st.table_b, st.table_c)]
+        assert got == _yes_bits(st.params, *bits)
 
 
 class TestDecodeContract:

@@ -98,11 +98,10 @@ class TestYesSet:
 
     @pytest.mark.parametrize("b", [3, 4, INVERSE_TABLE_MAX_B + 1])
     def test_one_b_line_per_b_bit(self, monkeypatch, b):
-        # Above INVERSE_TABLE_MAX_B, yes_set walks Params.line_blocks of
-        # line pos // b once per 1 bit at pos, also where three members
-        # share one block and its line slot and where the dense tables fill
-        # every slot with several bits; up to it, it reads the mask of each
-        # 1 bit's line and walks no line_blocks, with the same answers.
+        # At every b, yes_set walks Params.line_blocks of line pos // b
+        # once per 1 bit at pos, also where three members share one block
+        # and its line slot and where the dense tables fill every slot with
+        # several bits.
         p = Params(b)
         members = [0, 1, 2, b**5]
         dense = build_from_ordinals(p, [])
@@ -123,7 +122,7 @@ class TestYesSet:
             assert len({pos // b for pos in ones}) < len(ones)
             calls.clear()
             got = yes_set(st)
-            assert calls == ([pos // b for pos in ones] if b > INVERSE_TABLE_MAX_B else [])
+            assert calls == [pos // b for pos in ones]
             if expected is not None:
                 assert got == expected
 

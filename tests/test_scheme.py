@@ -229,6 +229,18 @@ class TestAssignBlocks:
             assign_blocks(p, blocks)
         assert seen == self.candidates(blocks, 1 << n)
 
+    def test_smallest_known_configuration_without_a_routing(self):
+        # Six blocks at b=3 on lines of three superblocks, chained through
+        # shared points: no mask is a valid routing, yet every five of them
+        # route.
+        p = Params(3)
+        blocks = [BlockAddr(*t) for t in [(1, 1, 7), (1, 3, 8), (2, 0, 6), (2, 1, 7), (2, 2, 7), (3, 4, 8)]]
+        with pytest.raises(AssignmentError):
+            assign_blocks(p, blocks)
+        for k in range(len(blocks)):
+            asg = assign_blocks(p, blocks[:k] + blocks[k + 1 :])
+            assert len(asg.placed_b | asg.placed_c) == 5
+
     def test_routing_valid_matches_reference(self):
         """`_routing_valid` against rules 2-4 written from their statement,
         on every split of seeded 1-4 block configurations into B and C."""
@@ -321,7 +333,7 @@ class TestBuild:
         p = Params(1000)
         with pytest.raises(ValueError, match="over the limit"):
             build_from_ordinals(p, [0, 1, 2, p.universe_size - 1])
-        assert "b_offsets" not in vars(p) and "line_zero" not in vars(p)
+        assert "line_zero" not in vars(p)
 
     def test_empty_subset_all_zero(self):
         st_ = build(Params(2), [])

@@ -118,7 +118,7 @@ class TestSizes:
 
     def test_offsets_cumulative(self):
         p = Params(3)
-        offs = p.b_offsets
+        offs = [p.b_offset(s) for s in range(1, 5)]
         assert offs[0] == 0
         for s in range(1, 4):
             assert offs[s] - offs[s - 1] == num_lines(p, s) * 3
