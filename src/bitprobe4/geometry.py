@@ -35,14 +35,15 @@ from typing import NamedTuple
 
 _new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 
-# Up to this b, grouping and the verify kernel's int path
-# (`scheme._routing_bits`, `oracle._yes_bits`) read the block table and line
-# masks of `Params._inverses`, and a verified subset's tables A, B and C stay
-# ints; above it, the kernel calls `_fill_tables` and `yes_set`, which walk
+# Up to this b, the routing pipeline reads each block's sort key and line
+# from `Params._inverses`, and the verify kernel's int path
+# (`scheme._routing_bits`, `oracle._yes_bits`) its line masks, so a verified
+# subset's tables A, B and C stay ints; above it, keys and lines are computed
+# from (s, x, y) and the kernel calls `_fill_tables` and `yes_set`, which walk
 # `line_blocks` on bytes at every b.  Built once per b and process, the table takes
-# 0.04 ms and 3 KiB at b = 2, 0.24 ms and 23 KiB at b = 3, 0.9 ms and 106 KiB
-# at b = 4, 2.7 ms and 385 KiB at b = 5, 6.5 ms and 1.2 MiB at b = 6, and
-# 33 ms and 9.9 MiB at b = 8, where one `verify_random(8, 200, jobs=2)` call
+# 0.05 ms and 1.3 KiB at b = 2, 0.22 ms and 8 KiB at b = 3, 0.7 ms and 66 KiB
+# at b = 4, 2.1 ms and 384 KiB at b = 5, 5.2 ms and 1.2 MiB at b = 6, and
+# 18 ms and 9.8 MiB at b = 8, where one `verify_random(8, 200, jobs=2)` call
 # lasts about 30 ms (2-vCPU VM, Python 3.11, size under `tracemalloc`).
 INVERSE_TABLE_MAX_B = 5
 
@@ -70,15 +71,17 @@ class LineRef(NamedTuple):
 
 
 class _Inverses(NamedTuple):
-    """The small-b table of `Params`, for grouping and the verify kernel's int
-    path.  line_masks[line] has a set bit per A position on the line with that
-    B line ordinal (its `line_blocks`).
-    column_mask has a set bit at each A position reading C bit 0 (`c_blocks(0)`),
-    so C bit q*b + i is read at column_mask << q; blocks[q] is the block at A position q."""
+    """The small-b table of `Params`, for the routing pipeline and the verify
+    kernel's int path.  line_masks[line] has a set bit per A position on the
+    line with that B line ordinal (its `line_blocks`).  column_mask has a set
+    bit at each A position reading C bit 0 (`c_blocks(0)`), so C bit q*b + i is
+    read at column_mask << q.  For block (s, x, y) at A position q, lines[q] is
+    its `line` and keys[q] = (s - 1)*b**4 + x*b**2 + y sorts it by (s, x, y)."""
 
     line_masks: tuple[int, ...]
     column_mask: int
-    blocks: tuple[BlockAddr, ...]
+    lines: tuple[int, ...]
+    keys: tuple[int, ...]
 
 
 def _mask(r: range) -> int:
@@ -182,15 +185,18 @@ class Params:
 
     @_lazy
     def _inverses(self) -> "_Inverses | None":
-        """The small-b table of grouping and the verify kernel's int path,
-        built on first use from the closed forms when b <= INVERSE_TABLE_MAX_B,
-        else None; shared per b through `cached_params`."""
-        if self.b > INVERSE_TABLE_MAX_B:
+        """The small-b table of the routing pipeline and the verify kernel's
+        int path, built on first use from the closed forms when
+        b <= INVERSE_TABLE_MAX_B, else None; shared per b through `cached_params`."""
+        b, g = self.b, self.grid_side
+        if b > INVERSE_TABLE_MAX_B:
             return None
+        blocks = [(s, x, y) for s in range(1, b + 1) for y in range(g) for x in range(g)]
         return _Inverses(
-            tuple(map(_mask, map(self.line_blocks, range(self.table_sizes[1] // self.b)))),
+            tuple(map(_mask, map(self.line_blocks, range(self.table_sizes[1] // b)))),
             _mask(self.c_blocks(0)[0]),
-            tuple(element_from_ordinal(self, q * self.b).block for q in range(self.num_blocks)),
+            tuple(self.line(s, x, y) for s, x, y in blocks),
+            tuple(((s - 1) * g + x) * g + y for s, x, y in blocks),
         )
 
     def line_blocks(self, line: int) -> range:

@@ -32,13 +32,14 @@ from .scheme import (
     CaseLabel,
     MAX_MEMBERS,
     ProbeTrace,
+    _blocks_and_lines,
+    _case,
     _fill_tables,
     _group_ordinals,
+    _route,
     _routing_bits,
     _structure_of_bits,
-    assign_blocks,
     build_from_ordinals,
-    classify,
     query,
 )
 from .tables import Structure, checked_table_sizes
@@ -152,7 +153,7 @@ def _yes_bits(p: Params, ta: int, tb: int, tc: int) -> set[int]:
     """`yes_set` of tables given as ints, up to INVERSE_TABLE_MAX_B: the
     verify kernel's sweep of `_routing_bits`' ints (`_check_subsets`).  The
     blocks reading a 1 bit are one AND of A with a mask of `Params._inverses`."""
-    b, (masks, column, _) = p.b, p._inverses
+    b, (masks, column, *_) = p.b, p._inverses
     yes: set[int] = set()
     add = yes.add
     while tc:
@@ -265,12 +266,13 @@ def _check_subsets(p: Params, cases: Iterable[tuple], cap: int) -> tuple:
     small = p._inverses is not None
     for combo, sample in cases:
         grouped = _group_ordinals(p, combo)
-        hist[_CASE_INDEX[classify(p, grouped)]] += 1
+        blocks, lines = _blocks_and_lines(p, grouped)
+        hist[_CASE_INDEX[_case(p, blocks, lines)]] += 1
+        routing = _route(p, grouped, blocks, lines)
         if small:
-            bits = _routing_bits(p, grouped, assign_blocks(p, grouped))
-            yes = _yes_bits(p, *bits)
+            yes = _yes_bits(p, *(bits := _routing_bits(p, grouped, routing)))
         else:
-            yes = yes_set(st := _fill_tables(p, grouped, assign_blocks(p, grouped)))
+            yes = yes_set(st := _fill_tables(p, grouped, routing))
         subsets += 1
         queries += m if sample is None else len(combo) + NONMEMBER_PROBES
         if wrong := yes.symmetric_difference(combo):

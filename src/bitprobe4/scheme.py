@@ -19,6 +19,10 @@ the first one in a fixed candidate order, so builds are deterministic.
 Empty blocks default to table B and are re-routed to C only when rule 4's
 line conflict forces them out.
 
+Inside the pipeline, from grouping to fill, a block is its A position
+(s - 1)*b**4 + y*b**2 + x, and its grid coordinates are its position within
+its superblock; `classify` and `assign_blocks` are adapters on `BlockAddr`s.
+
 A query for (s, x, y, i) reads the block's A bit, then either B(line, i) or
 C(x, y, i); the second bit read is the answer.  Every query reads exactly
 two bits, the first always from table A.
@@ -27,10 +31,10 @@ two bits, the first always from table A.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Collection, Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .geometry import BlockAddr, ElementAddr, Params
-from .geometry import _new, element_from_ordinal, element_to_ordinal, validate_element
+from .geometry import _new, element_to_ordinal, validate_element
 from .tables import BitTable, Structure, checked_table_sizes
 
 MAX_MEMBERS = 4
@@ -41,6 +45,9 @@ ProbeRecord = tuple[str, int, int]
 ProbeTrace = tuple[ProbeRecord, ProbeRecord]
 
 _BOOL = (False, True)  # a bit's answer by indexing, cheaper than `bool()`
+
+# A routing in the pipeline, blocks as A positions: (to B, their lines, to C).
+_Routing = tuple[list[int], list[int], list[int]]
 
 
 class CapacityError(ValueError):
@@ -81,13 +88,13 @@ class CaseLabel(Enum):
     __hash__ = object.__hash__
 
 
-def _group_ordinals(p: Params, ordinals: Sequence[int]) -> dict[BlockAddr, set[int]]:
+def _group_ordinals(p: Params, ordinals: Sequence[int]) -> dict[int, int]:
     """Group flat ordinals by block, deduplicating them: the one home of
     grouping.  Raises ValueError for an ordinal outside [0, b**6), then
-    CapacityError when more than MAX_MEMBERS distinct ordinals remain.  Up
-    to INVERSE_TABLE_MAX_B ordinal n is element n % b of block `blocks[n // b]`
-    in `Params._inverses`, shared by every subset; above it, n is decoded by
-    `element_from_ordinal`, which builds that table too."""
+    CapacityError when more than MAX_MEMBERS distinct ordinals remain.
+    Ordinal n is element n % b of the block at A position n // b, so the
+    result maps each non-empty block's A position to its index mask, bit i
+    set for each member i, at every b."""
     b, m = p.b, p.universe_size
     if ordinals and not (0 <= min(ordinals) and max(ordinals) < m):
         n = next(n for n in ordinals if not 0 <= n < m)
@@ -95,42 +102,43 @@ def _group_ordinals(p: Params, ordinals: Sequence[int]) -> dict[BlockAddr, set[i
     distinct = set(ordinals)
     if len(distinct) > MAX_MEMBERS:
         raise CapacityError(f"subset has more than {MAX_MEMBERS} distinct elements")
-    grouped: dict[BlockAddr, set[int]] = {}
-    inverses = p._inverses
-    if inverses is not None:
-        blocks = inverses.blocks
-        for n in distinct:
-            if (blk := blocks[n // b]) in grouped:
-                grouped[blk].add(n % b)
-            else:
-                grouped[blk] = {n % b}
-        return grouped
+    grouped: dict[int, int] = {}
     for n in distinct:
-        blk, i = element_from_ordinal(p, n)
-        grouped.setdefault(blk, set()).add(i)
+        q = n // b
+        grouped[q] = grouped.get(q, 0) | 1 << n % b
     return grouped
 
 
-def _routing_valid(
-    p: Params,
-    non_empty: frozenset[BlockAddr],
-    to_b: list[BlockAddr],
-    to_c: list[BlockAddr],
-) -> bool:
-    """Check rules 2 to 4 of a candidate routing (1 holds by shape); all-B stops at 2."""
-    zero = p.line_zero
-    lines_b = [zero[s - 1] + x - s * y for s, x, y in to_b]  # `Params.line`, inlined
+def _blocks_and_lines(p: Params, positions: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Blocks' A positions in (s, x, y) order, and their lines, computed once per
+    subset: up to INVERSE_TABLE_MAX_B from the tables of `Params._inverses`, above
+    it from (s, x, y), the key (s - 1)*b**4 + x*b**2 + y and `Params.line`."""
+    inverses = p._inverses
+    if inverses is not None:
+        blocks = sorted(positions, key=inverses.keys.__getitem__)
+        return blocks, list(map(inverses.lines.__getitem__, blocks))
+    bs, g = p.blocks_per_superblock, p.grid_side
+    blocks = sorted(positions, key=lambda q: q - q % bs + q % g * g + q % bs // g)
+    return blocks, [p.line(q // bs + 1, q % g, q % bs // g) for q in blocks]
+
+
+def _routing_valid(p: Params, non_empty: Container[int], routing: _Routing) -> bool:
+    """Check rules 2 to 4 of a candidate routing (1 holds by shape); all-B
+    stops at 2.  Blocks are A positions; their grid coordinates are the
+    position within the superblock, y*b**2 + x, their C slot."""
+    to_b, lines_b, to_c = routing
     if not (distinct := len(set(lines_b)) == len(lines_b)) or not to_c:
         return distinct  # rule 2 broken, or no C-routed block for rules 3 and 4
-    coords_c = [(x, y) for _, x, y in to_c]
+    bs, g = p.blocks_per_superblock, p.grid_side
+    coords_c = [q % bs for q in to_c]
     if len(set(coords_c)) != len(coords_c):
         return False
     # Rule 4: a doubly blocked empty block would sit at a C-routed block's
     # coordinates, inside a B-routed block's superblock, on that block's
     # line.  Enumerate those (few) candidates instead of all empty blocks.
-    for (s, _, _), line in zip(to_b, lines_b):
-        for x, y in coords_c:
-            if p.line(s, x, y) == line and BlockAddr(s, x, y) not in non_empty:
+    for q, line in zip(to_b, lines_b):
+        for c in coords_c:
+            if p.line(q // bs + 1, c % g, c // g) == line and q - q % bs + c not in non_empty:
                 return False
     return True
 
@@ -144,35 +152,48 @@ def _splits(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
 _SPLITS = [tuple(_splits(n)) for n in range(MAX_MEMBERS + 2)]  # 5 blocks still try all 32
 
 
-def assign_blocks(p: Params, non_empty: Iterable[BlockAddr]) -> Assignment:
-    """Route each non-empty block to table B or C, deterministically.
-
-    `non_empty` holds distinct blocks, at most MAX_MEMBERS of them, as
-    `_group_ordinals` yields them; they are not checked again.  Blocks are
-    sorted by (s, x, y); masks k = 0, 1, 2, ... (bit j of k sends block j to
-    table C, as split by `_SPLITS`) go through `_routing_valid` in order.
-    The first valid routing wins, so equal block sets always produce equal
-    assignments regardless of member counts or the order of `non_empty`.
-    """
-    blocks = sorted(non_empty)
+def _route(p: Params, non_empty: Container[int], blocks: list[int], lines: list[int]) -> _Routing:
+    """The first valid routing of `blocks` and their `lines`, as
+    `_blocks_and_lines` orders them: masks k = 0, 1, 2, ... (bit j of k sends
+    block j to table C, as split by `_SPLITS`) go through `_routing_valid`
+    in order.  `non_empty` holds the same A positions, for rule 4."""
+    if _routing_valid(p, non_empty, routing := (blocks, lines, [])):  # k = 0: all blocks to B
+        return routing
     n = len(blocks)
-    block_set = frozenset(blocks)
-    if _routing_valid(p, block_set, blocks, []):  # k = 0: all blocks to B
-        return _new(Assignment, (block_set, frozenset()))
     for bi, ci in _SPLITS[n] if n < len(_SPLITS) else _splits(n):
-        to_b = [blocks[j] for j in bi]
-        to_c = [blocks[j] for j in ci]
-        if _routing_valid(p, block_set, to_b, to_c):
-            return _new(Assignment, (frozenset(to_b), frozenset(to_c)))
+        routing = ([blocks[j] for j in bi], [lines[j] for j in bi], [blocks[j] for j in ci])
+        if _routing_valid(p, non_empty, routing):
+            return routing
     raise AssignmentError(
-        f"no valid routing for blocks {blocks}; this contradicts the scheme's "
-        f"correctness guarantee for at most {MAX_MEMBERS} blocks"
+        f"no valid routing for the blocks at A positions {blocks}; this contradicts "
+        f"the scheme's correctness guarantee for at most {MAX_MEMBERS} blocks"
     )
 
 
-def _fill_tables(
-    p: Params, grouped: Mapping[BlockAddr, set[int]], asg: Assignment
-) -> Structure:
+def assign_blocks(p: Params, non_empty: Iterable[BlockAddr]) -> Assignment:
+    """Route each non-empty block to table B or C, deterministically.
+
+    `non_empty` holds distinct blocks, at most MAX_MEMBERS of them; they
+    are not checked.  Blocks are sorted by (s, x, y) and routed by
+    `_route`, the first valid routing in a fixed candidate order, so equal
+    block sets always produce equal assignments regardless of member counts
+    or the order of `non_empty`.
+    """
+    addrs = {p.a_pos(*blk): blk for blk in non_empty}
+    to_b, _, to_c = _route(p, addrs, *_blocks_and_lines(p, addrs))
+    placed_b, placed_c = (frozenset(addrs[q] for q in qs) for qs in (to_b, to_c))
+    return _new(Assignment, (placed_b, placed_c))
+
+
+def _set_bits(data: bytearray, start: int, mask: int) -> None:
+    """Set bit start + i of `data` for each set bit i of `mask`, lowest first."""
+    while mask:
+        pos = start + (mask & -mask).bit_length() - 1
+        data[pos >> 3] |= 1 << (pos & 7)
+        mask &= mask - 1
+
+
+def _fill_tables(p: Params, grouped: Mapping[int, int], routing: _Routing) -> Structure:
     """Set every bit implied by a routing of the grouped members, at the
     positions of `Params`.
 
@@ -184,46 +205,34 @@ def _fill_tables(
     """
     st = Structure.empty(p)
     a, tb, tc = st.table_a.data, st.table_b.data, st.table_c.data
-    for blk in asg.placed_b:
-        line = p.line(*blk)
+    b, bs = p.b, p.blocks_per_superblock
+    to_b, lines_b, to_c = routing
+    for q, line in zip(to_b, lines_b):
         for pos in p.line_blocks(line):
             a[pos >> 3] |= 1 << (pos & 7)
-        pos = p.a_pos(*blk)
-        a[pos >> 3] &= ~(1 << (pos & 7))
-        for i in grouped[blk]:
-            pos = line * p.b + i
-            tb[pos >> 3] |= 1 << (pos & 7)
-    for blk in asg.placed_c:
-        s, x, y = blk
-        pos = p.a_pos(s, x, y)
-        a[pos >> 3] |= 1 << (pos & 7)
-        for i in grouped[blk]:
-            pos = p.c_pos(x, y, i)
-            tc[pos >> 3] |= 1 << (pos & 7)
+        a[q >> 3] &= ~(1 << (q & 7))
+        _set_bits(tb, line * b, grouped[q])
+    for q in to_c:
+        a[q >> 3] |= 1 << (q & 7)
+        _set_bits(tc, q % bs * b, grouped[q])
     return st
 
 
-def _routing_bits(
-    p: Params, grouped: Mapping[BlockAddr, set[int]], asg: Assignment
-) -> tuple[int, int, int]:
+def _routing_bits(p: Params, grouped: Mapping[int, int], routing: _Routing) -> tuple[int, int, int]:
     """Tables A, B and C of a routing as ints, up to INVERSE_TABLE_MAX_B: the
     verify kernel's fill (`oracle._check_subsets`), the same bits as
-    `_fill_tables`.  The positions of `Params.line`, `a_pos` and `c_pos`,
-    their home, are inlined as in `query`."""
-    b, g, zero, masks = p.b, p.grid_side, p.line_zero, p._inverses.line_masks
+    `_fill_tables`: a B-routed block's members at B slot line*b, a C-routed
+    block's at C slot (q mod b**4)*b."""
+    b, bs, masks = p.b, p.blocks_per_superblock, p._inverses.line_masks
     a = tb = tc = 0
-    for blk in asg.placed_b:
-        s, x, y = blk
-        line = zero[s - 1] + x - s * y  # `Params.line`, inlined
+    to_b, lines_b, to_c = routing
+    for q, line in zip(to_b, lines_b):
         a |= masks[line]
-        a ^= 1 << ((s - 1) * g + y) * g + x  # set by the OR, so this clears it
-        for i in grouped[blk]:
-            tb |= 1 << line * b + i
-    for blk in asg.placed_c:
-        s, x, y = blk
-        a |= 1 << ((s - 1) * g + y) * g + x
-        for i in grouped[blk]:
-            tc |= 1 << (y * g + x) * b + i
+        a ^= 1 << q  # set by the OR, so this clears it
+        tb |= grouped[q] << line * b
+    for q in to_c:
+        a |= 1 << q
+        tc |= grouped[q] << q % bs * b
     return a, tb, tc
 
 
@@ -243,10 +252,14 @@ def build(p: Params, members: Iterable[ElementAddr]) -> Structure:
 
 
 def build_from_ordinals(p: Params, ordinals: Iterable[int]) -> Structure:
-    """Build from flat element ordinals instead of addresses; refuses an oversized b first."""
+    """Build from flat element ordinals instead of addresses; refuses an oversized
+    b first, then, with a TypeError, an ordinal that is not an int (nor a bool)."""
     checked_table_sizes(p)
-    grouped = _group_ordinals(p, tuple(ordinals))
-    return _fill_tables(p, grouped, assign_blocks(p, grouped.keys()))
+    for n in (ordinals := tuple(ordinals)):
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise TypeError(f"ordinal {n!r} must be an int, got {type(n).__name__}")
+    grouped = _group_ordinals(p, ordinals)
+    return _fill_tables(p, grouped, _route(p, grouped, *_blocks_and_lines(p, grouped)))
 
 
 def query(st: Structure, e: ElementAddr) -> tuple[bool, ProbeTrace]:
@@ -277,15 +290,17 @@ def classify(p: Params, blocks: Collection[BlockAddr]) -> CaseLabel:
     """Diagnostic case label of a non-empty block configuration.
 
     `blocks` is any sized collection of distinct blocks (a list, a set, a
-    dict's keys), not checked; `p` names each block's line by its B line
-    ordinal.  The label counts lines and coordinates only, so block order
-    does not change it, and fewer than four blocks all share one label.
+    dict's keys), not checked.  The label counts lines and coordinates
+    only, so block order does not change it, and fewer than four blocks all
+    share one label.
     """
+    return _case(p, *_blocks_and_lines(p, [p.a_pos(*blk) for blk in blocks]))
+
+
+def _case(p: Params, blocks: list[int], lines: list[int]) -> CaseLabel:
+    """`classify` of A positions and their lines, as `_blocks_and_lines` gives them."""
     if len(blocks) < 4:
         return CaseLabel.FEWER_THAN_4_BLOCKS
-
-    zero = p.line_zero
-    lines = [zero[s - 1] + x - s * y for s, x, y in blocks]  # `Params.line`, inlined
     distinct = len(set(lines))
     if distinct == 4:
         return CaseLabel.I
@@ -297,20 +312,22 @@ def classify(p: Params, blocks: Collection[BlockAddr]) -> CaseLabel:
         return CaseLabel.IIIA if split == [1, 3] else CaseLabel.IIIB
 
     # Three distinct lines: one line holds two blocks, the others one each.
-    coords = [(x, y) for _, x, y in blocks]
-    coord_count = {xy: coords.count(xy) for xy in coords}
+    # A block's grid coordinates are its position within the superblock.
+    bs, g = p.blocks_per_superblock, p.grid_side
+    coords = [q % bs for q in blocks]
+    coord_count = {c: coords.count(c) for c in coords}
     mults = sorted(coord_count.values(), reverse=True)
     if mults[0] == 3:
         return CaseLabel.IVA
     if mults[:2] == [2, 2]:
         return CaseLabel.IVB
     if mults[0] == 2:
-        ds, double_line = next((s, ln) for (s, _, _), ln in zip(blocks, lines) if line_count[ln] == 2)
-        pair_xy = next(xy for xy, c in coord_count.items() if c == 2)
+        dq, double_line = next((q, ln) for q, ln in zip(blocks, lines) if line_count[ln] == 2)
+        pair = next(c for c, k in coord_count.items() if k == 2)
         # Singleton-line blocks outside the coincident pair decide the
         # subcase: all on the doubly occupied line's geometry -> IVC_i.
-        for (_, x, y), ln in zip(blocks, lines):
-            if line_count[ln] == 1 and (x, y) != pair_xy and p.line(ds, x, y) != double_line:
+        for c, ln in zip(coords, lines):
+            if line_count[ln] == 1 and c != pair and p.line(dq // bs + 1, c % g, c // g) != double_line:
                 return CaseLabel.IVC_ii
         return CaseLabel.IVC_i
     return CaseLabel.IVD

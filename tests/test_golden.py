@@ -18,6 +18,7 @@ positions, so the frozen evidence holds for either.
 """
 
 import hashlib
+from itertools import combinations
 
 import pytest
 
@@ -31,7 +32,7 @@ from bitprobe4.oracle import (
     verify_random,
     yes_set,
 )
-from bitprobe4.scheme import _structure_of_bits, build_from_ordinals, query
+from bitprobe4.scheme import _structure_of_bits, assign_blocks, build_from_ordinals, query
 from bitprobe4.tables import serialize
 
 # b, non-member probes per structure (None: the whole universe), flips
@@ -145,6 +146,36 @@ def test_serialized_bytes_are_frozen(b):
     assert h.hexdigest() == expected
 
 
+def routing_configurations():
+    """Every configuration of 1-4 blocks at b = 2 (41,448), then 2,000
+    seeded 4-block configurations each at b = 3 and b = 8."""
+    p = Params(2)
+    every = [element_from_ordinal(p, q * p.b).block for q in range(p.num_blocks)]
+    for k in range(1, 5):
+        for blocks in combinations(every, k):
+            yield p, blocks
+    for b in (3, 8):
+        p = Params(b)
+        for t in range(2000):
+            yield p, [element_from_ordinal(p, q * b).block for q in draw_subset(7, t, 4, p.num_blocks)]
+
+
+def test_routing_choices_are_frozen():
+    """`assign_blocks`' (placed_b, placed_c) of each configuration above,
+    recorded from the routing search on (s, x, y) tuples: the candidate
+    order fixes the bytes, and BLOB_DIGESTS pins only a few structures."""
+    h = hashlib.sha256()
+    count = 0
+    for p, blocks in routing_configurations():
+        asg = assign_blocks(p, blocks)
+        h.update(repr((p.b, sorted(map(tuple, asg.placed_b)), sorted(map(tuple, asg.placed_c)))).encode())
+        count += 1
+    assert (count, h.hexdigest()) == (
+        45_448,
+        "53db337ffc63671d23ab70808eeada44834e6a5d4a66cc6daab4704543442815",
+    )
+
+
 # Failure evidence of deliberately broken builds: sha256 over
 # repr((failures_total, [(subset, element, expected, got, trace), ...])).
 # Recorded from the element-by-element sweep kernel, so they pin that
@@ -169,16 +200,16 @@ def patch_fill(monkeypatch, b, edit):
     if b <= INVERSE_TABLE_MAX_B:
         home, inner = "_routing_bits", oracle._routing_bits
 
-        def patched(p, grouped, asg):
-            st = _structure_of_bits(p, *inner(p, grouped, asg))
+        def patched(p, grouped, routing):
+            st = _structure_of_bits(p, *inner(p, grouped, routing))
             edit(p, grouped, st)
             return tuple(int.from_bytes(t.data, "little") for t in (st.table_a, st.table_b, st.table_c))
 
     else:
         home, inner = "_fill_tables", oracle._fill_tables
 
-        def patched(p, grouped, asg):
-            st = inner(p, grouped, asg)
+        def patched(p, grouped, routing):
+            st = inner(p, grouped, routing)
             edit(p, grouped, st)
             return st
 
@@ -188,9 +219,11 @@ def patch_fill(monkeypatch, b, edit):
 def set_extra_bits(p, grouped, st):
     """One extra B bit and one extra C bit, at positions derived from the
     stored blocks (so any order of calls and any worker count sets the same
-    bits)."""
+    bits).  `grouped` maps a block's A position to its index mask."""
+    blocks = {element_from_ordinal(p, q * p.b).block: mask for q, mask in grouped.items()}
     key = 1 + sum(
-        (s * 7 + x * 13 + y * 17) * (1 + sum(idx)) for (s, x, y), idx in grouped.items()
+        (s * 7 + x * 13 + y * 17) * (1 + sum(i for i in range(p.b) if mask >> i & 1))
+        for (s, x, y), mask in blocks.items()
     )
     for table, mult in ((st.table_b, 2654435761), (st.table_c, 40503)):
         pos = key * mult % table.nbits
@@ -213,9 +246,11 @@ def test_extra_bit_failures_are_frozen(b, monkeypatch):
     assert (report.failures_total, evidence_digest(report)) == (total, digest)
 
 
-def routing_valid_without_rule_4(p, non_empty, to_b, to_c):
+def routing_valid_without_rule_4(p, non_empty, routing):
     """`scheme._routing_valid` with rule 4 (no doubly blocked empty block)
-    removed."""
+    removed; the blocks of `routing` are A positions."""
+    to_b, _, to_c = routing
+    to_b, to_c = ([element_from_ordinal(p, q * p.b).block for q in qs] for qs in (to_b, to_c))
     lines_b = [(blk.s, blk.x - blk.s * blk.y) for blk in to_b]
     coords_c = [(blk.x, blk.y) for blk in to_c]
     return len(set(lines_b)) == len(lines_b) and len(set(coords_c)) == len(coords_c)

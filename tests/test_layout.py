@@ -11,8 +11,10 @@ byte path at every b, which walks `line_blocks` from each line's B line
 ordinal (`Params.line`, or pos // b for B bit pos); the verify kernel's int
 path, which reads the inverse tables up to INVERSE_TABLE_MAX_B
 (`_routing_bits`, `_yes_bits`), is pinned to the byte path by
-`TestTwoPaths`, and `_group_ordinals`' inline decode is pinned to
-`element_from_ordinal` over every ordinal.
+`TestTwoPaths`.  Inside the routing pipeline a block is its A position:
+`_group_ordinals`' n // b is pinned to `element_from_ordinal` over every
+ordinal, and the sort keys and lines of `_blocks_and_lines` over every A
+position.
 """
 
 import pickle
@@ -33,15 +35,16 @@ from bitprobe4.geometry import (
     _mask,
     cached_params,
     element_from_ordinal,
+    line_of,
 )
 from bitprobe4.oracle import _yes_bits, draw_subset, verify_random, yes_set
 from bitprobe4.scheme import (
-    Assignment,
+    _blocks_and_lines,
     _fill_tables,
     _group_ordinals,
+    _route,
     _routing_bits,
     _structure_of_bits,
-    assign_blocks,
     build_from_ordinals,
     query,
 )
@@ -114,6 +117,21 @@ def test_b_positions_and_inverse_agree(b):
 
 
 @pytest.mark.parametrize("b", B_VALUES)
+@pytest.mark.parametrize("tables", [True, False], ids=["tables", "closed"])
+def test_blocks_and_lines_of_every_a_position(b, tables):
+    """`_blocks_and_lines` over every A position, from the key and line
+    tables of `Params._inverses` up to INVERSE_TABLE_MAX_B and from the
+    closed forms: the transposed keys sort the positions exactly as their
+    blocks sort, and each line is `Params.line`, the reference's ordinal."""
+    p = cached_params(b) if tables else byte_path(b)
+    order, line_list = _blocks_and_lines(p, reversed(range(p.num_blocks)))
+    expected = sorted(blocks(b))
+    assert order == [p.a_pos(*blk) for blk in expected]
+    reference = [p.b_offset(blk.s) // b + line_ordinal(p, line_of(blk)) for blk in expected]
+    assert line_list == [p.line(*blk) for blk in expected] == reference
+
+
+@pytest.mark.parametrize("b", B_VALUES)
 def test_c_positions_and_inverse_agree(b):
     p = Params(b)
     for x, y in grid(b):
@@ -165,13 +183,14 @@ def test_fill_tables_sets_the_layout_bits(b):
     p = Params(b)
     for blk in blocks(b):
         s, x, y = blk
-        grouped = {blk: set(range(b))}
-        st = _fill_tables(p, grouped, Assignment(frozenset([blk]), frozenset()))
+        q = p.a_pos(*blk)
+        grouped = {q: (1 << b) - 1}
+        st = _fill_tables(p, grouped, ([q], [p.line(*blk)], []))
         slot = p.line(*blk) * b
         assert list(st.table_b.ones()) == list(range(slot, slot + b))
         assert list(st.table_c.ones()) == []
         assert set(st.table_a.ones()) == set(p.line_blocks(p.line(*blk))) - {p.a_pos(*blk)}
-        st = _fill_tables(p, grouped, Assignment(frozenset(), frozenset([blk])))
+        st = _fill_tables(p, grouped, ([], [], [q]))
         assert list(st.table_b.ones()) == []
         assert list(st.table_c.ones()) == [p.c_pos(x, y, i) for i in range(b)]
         assert list(st.table_a.ones()) == [p.a_pos(*blk)]
@@ -201,9 +220,7 @@ def test_group_ordinals_decodes_like_element_from_ordinal(b):
     p = Params(b)
     for n in range(p.universe_size):
         e = element_from_ordinal(p, n)
-        grouped = _group_ordinals(p, (n,))
-        assert grouped == {e.block: {e.i}}
-        assert type(next(iter(grouped))) is BlockAddr
+        assert _group_ordinals(p, (n,)) == {p.a_pos(*e.block): 1 << e.i}
 
 
 def test_offsets_cache_stays_bounded():
@@ -293,8 +310,8 @@ class TestInverseTables:
             assert masks[line] == sum(1 << a for a in on_line) == _mask(p.line_blocks(line)), l
 
     def test_no_table_above_the_rule(self):
-        # The line masks and the block table are fields of `_inverses`, so
-        # no grouping, fill or YES set above the rule builds them.
+        # The line masks, keys and lines are fields of `_inverses`, so no
+        # routing, fill or YES set above the rule builds them.
         verify_random(8, 20, 1)
         p = cached_params(16)
         st = deserialize(serialize(build_from_ordinals(p, [5, 6, 7, 8])))
@@ -315,29 +332,30 @@ class TestInverseTables:
 
 def byte_path(b: int) -> Params:
     """A fresh, uncached Params(b) whose small-b table is pre-set to None,
-    so grouping takes the path used above the rule."""
+    so `_blocks_and_lines` takes the closed forms used above the rule."""
     p = Params(b)
     object.__setattr__(p, "_inverses", None)
     return p
 
 
 class TestTwoPaths:
-    """Up to INVERSE_TABLE_MAX_B, `_group_ordinals` and the verify kernel's
-    int path (`_routing_bits`, `_yes_bits`) read the small-b table, A as an
-    int and a line as the mask of its B line ordinal; `_fill_tables` and
-    `yes_set` walk `line_blocks` on bytes, and grouping does not read the
-    table once it is pre-set to None.  Both paths give the same groups, the
-    same bytes and the same YES sets."""
+    """Up to INVERSE_TABLE_MAX_B, `_blocks_and_lines` and the verify
+    kernel's int path (`_routing_bits`, `_yes_bits`) read the small-b table,
+    A as an int and a line as the mask of its B line ordinal; `_fill_tables`
+    and `yes_set` walk `line_blocks` on bytes, and `_blocks_and_lines` takes
+    the closed forms once the table is pre-set to None.  Both paths give the
+    same blocks and lines, the same bytes and the same YES sets."""
 
     def check(self, b, combos):
         p, closed = cached_params(b), byte_path(b)
         assert p._inverses is not None
         for combo in combos:
             grouped = _group_ordinals(p, combo)
-            assert grouped == _group_ordinals(closed, combo)
-            asg = assign_blocks(p, grouped)
-            bits = _routing_bits(p, grouped, asg)
-            st = _fill_tables(p, grouped, asg)
+            ordered = _blocks_and_lines(p, grouped)
+            assert ordered == _blocks_and_lines(closed, grouped)
+            routing = _route(p, grouped, *ordered)
+            bits = _routing_bits(p, grouped, routing)
+            st = _fill_tables(closed, grouped, routing)
             assert serialize(st) == serialize(_structure_of_bits(p, *bits)), combo
             assert yes_set(st) == _yes_bits(p, *bits) == set(combo), combo
         assert vars(closed)["_inverses"] is None

@@ -197,7 +197,7 @@ class TestKernelMatchesBuild:
             assert serialize(st) == serialize(build_from_ordinals(p, combo)), combo
             addrs = [element_from_ordinal(p, n) for n in combo]
             assert serialize(st) == serialize(build(p, addrs)), combo
-            label = classify(p, grouped.keys())
+            label = classify(p, [element_from_ordinal(p, q * b).block for q in grouped])
             assert hist == [int(lab is label) for lab in oracle._CASE_ORDER], combo
 
     def test_b2_every_subset_up_to_two(self, monkeypatch):
@@ -232,15 +232,15 @@ class TestPatchPoints:
         def counting(name):
             fill = getattr(oracle, name)
 
-            def counted(p, grouped, asg):
+            def counted(p, grouped, routing):
                 events.append((name, frozenset(grouped)))
-                return fill(p, grouped, asg)
+                return fill(p, grouped, routing)
 
             return counted
 
-        def counting_valid(p, non_empty, to_b, to_c):
-            events.append(("route", non_empty))
-            return valid(p, non_empty, to_b, to_c)
+        def counting_valid(p, non_empty, routing):
+            events.append(("route", frozenset(non_empty)))
+            return valid(p, non_empty, routing)
 
         for name in ("_routing_bits", "_fill_tables"):
             monkeypatch.setattr(oracle, name, counting(name))

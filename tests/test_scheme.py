@@ -1,5 +1,6 @@
 import pickle
 import random
+import re
 import tracemalloc
 from itertools import permutations
 
@@ -56,15 +57,24 @@ def subsets(draw_b=st.integers(2, 3)):
     return strat()
 
 
+def addressed(p: Params, grouped: dict[int, int]) -> dict[BlockAddr, set[int]]:
+    """A grouping of `_group_ordinals`, {A position: index mask}, keyed by
+    block address, each index mask as the set of its bits."""
+    return {
+        element_from_ordinal(p, q * p.b).block: {i for i in range(p.b) if mask >> i & 1}
+        for q, mask in grouped.items()
+    }
+
+
 def seeded_blocks():
     """Non-empty blocks of a seeded subset of up to four members at b=2..4,
-    as `_group_ordinals` yields them."""
+    as `_group_ordinals` groups them, by address."""
 
     @st.composite
     def strat(draw):
         p = cached_params(draw(st.integers(2, 4)))
         n, seed = draw(st.integers(0, 4)), draw(st.integers(0, 2**32))
-        return p, scheme._group_ordinals(p, draw_subset(seed, 0, n, p.universe_size))
+        return p, addressed(p, scheme._group_ordinals(p, draw_subset(seed, 0, n, p.universe_size)))
 
     return strat()
 
@@ -85,14 +95,14 @@ class TestGroupMembers:
         p = Params(4)
         blk = BlockAddr(1, 0, 0)
         ordinals = [element_to_ordinal(p, ElementAddr(blk, i)) for i in range(4)]
-        assert scheme._group_ordinals(p, ordinals) == {blk: {0, 1, 2, 3}}
+        assert scheme._group_ordinals(p, ordinals) == {p.a_pos(*blk): 0b1111}
 
     def test_duplicates_collapse(self):
         p = Params(2)
         e = ElementAddr(BlockAddr(1, 2, 3), 1)
         others = [ElementAddr(BlockAddr(2, 0, 0), 0), ElementAddr(BlockAddr(2, 1, 0), 0)]
         grouped = scheme._group_ordinals(p, [element_to_ordinal(p, a) for a in [e, e, e] + others])
-        assert grouped[BlockAddr(1, 2, 3)] == {1}
+        assert grouped[p.a_pos(1, 2, 3)] == 0b10
         assert len(grouped) == 3
 
     def test_capacity_error(self):
@@ -121,6 +131,14 @@ class TestGroupMembers:
                 call(p, items)
             assert not isinstance(info.value, CapacityError), call.__name__
 
+    @pytest.mark.parametrize("b", [2, 8])
+    @pytest.mark.parametrize("bad", [3.0, "3", True], ids=repr)
+    def test_non_int_ordinal_refused(self, b, bad):
+        """A float, a str or a bool ordinal is refused by name, also where
+        it would otherwise build element 1 (True) or fail on a comparison."""
+        with pytest.raises(TypeError, match=f"^ordinal {re.escape(repr(bad))} must be an int"):
+            build_from_ordinals(Params(b), [0, bad])
+
     @settings(max_examples=200, deadline=None)
     @given(subsets(st.integers(2, 5)))
     def test_ordinals_group_like_addresses(self, case):
@@ -129,10 +147,10 @@ class TestGroupMembers:
         expected = {}
         for n in ordinals:
             blk, i = element_from_ordinal(p, n)
-            expected.setdefault(blk, set()).add(i)
+            expected[p.a_pos(*blk)] = expected.get(p.a_pos(*blk), 0) | 1 << i
         grouped = scheme._group_ordinals(p, tuple(ordinals))
         assert grouped == expected
-        assert all(type(blk) is BlockAddr for blk in grouped)
+        assert all(type(q) is int for q in grouped)
         addrs = [element_from_ordinal(p, n) for n in ordinals]
         assert serialize(build_from_ordinals(p, iter(ordinals))) == serialize(build(p, addrs))
 
@@ -189,9 +207,10 @@ class TestAssignBlocks:
         seen = []
         valid = scheme._routing_valid
 
-        def recording(p, non_empty, to_b, to_c):
-            seen.append((list(to_b), list(to_c)))
-            return valid(p, non_empty, to_b, to_c) if verdict is None else verdict
+        def recording(p, non_empty, routing):
+            to_b, _, to_c = routing
+            seen.append(tuple([element_from_ordinal(p, q * p.b).block for q in qs] for qs in (to_b, to_c)))
+            return valid(p, non_empty, routing) if verdict is None else verdict
 
         monkeypatch.setattr(scheme, "_routing_valid", recording)
         return seen
@@ -266,7 +285,10 @@ class TestAssignBlocks:
                 non_empty = frozenset(blocks)
                 for to_b, to_c in self.candidates(blocks, 1 << len(blocks)):
                     expected, rules_2_3 = reference(grid, non_empty, to_b, to_c)
-                    assert scheme._routing_valid(p, non_empty, to_b, to_c) == expected, (to_b, to_c)
+                    routing = ([p.a_pos(*blk) for blk in to_b], [p.line(*blk) for blk in to_b],
+                               [p.a_pos(*blk) for blk in to_c])
+                    positions = frozenset(p.a_pos(*blk) for blk in non_empty)
+                    assert scheme._routing_valid(p, positions, routing) == expected, (to_b, to_c)
                     outcomes.add((not to_c, rules_2_3, expected))
         # all-B candidates pass and fail, and rule 4 alone rejects some splits
         assert {(True, True, True), (True, False, False), (False, True, False)} <= outcomes
@@ -300,7 +322,7 @@ class TestAssignBlocks:
     def test_invariants_hold(self, case):
         b, ordinals = case
         p = Params(b)
-        grouped = scheme._group_ordinals(p, ordinals)
+        grouped = addressed(p, scheme._group_ordinals(p, ordinals))
         asg = assign_blocks(p, grouped.keys())
         non_empty = set(grouped)
         assert asg.placed_b | asg.placed_c == non_empty
@@ -361,7 +383,7 @@ class TestBuild:
     def test_a_bits_match_blocked_status(self, case):
         b, ordinals = case
         p = Params(b)
-        grouped = scheme._group_ordinals(p, ordinals)
+        grouped = addressed(p, scheme._group_ordinals(p, ordinals))
         asg = assign_blocks(p, grouped.keys())
         st_ = build_from_ordinals(p, ordinals)
         for blk in all_blocks(p):
